@@ -12,18 +12,18 @@ Conventions:
   reception. The geometric form integrates the sawtooth over the full
   observation window.
 * All results are double-precision seconds; inputs are nanosecond traces.
+  Every statistic is one vectorized pass over the trace columns.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .penalty import PenaltyFunction, linear
-from .trace import NS_PER_S, Trace, TraceError, UpdateRecord, effective_trace
+from .trace import NS_PER_S, Trace, TraceError, fresh_mask
 
 GEOMETRIC = "geometric"
 QFORM = "qform"
@@ -32,88 +32,103 @@ HFORM = "hform"
 
 @dataclass(frozen=True)
 class AgeSamplePath:
-    """Piecewise-linear sawtooth as (t_ns, age_ns) breakpoints.
+    """Piecewise-linear sawtooth as (t_ns, age_ns) breakpoints, two int64
+    arrays.
 
     Jumps appear as two breakpoints at the same t: the peak followed by the
     post-reception value.
     """
 
-    breakpoints: tuple[tuple[int, int], ...]
+    t_ns: np.ndarray
+    age_ns: np.ndarray
+
+    @property
+    def breakpoints(self) -> tuple[tuple[int, int], ...]:
+        """(t_ns, age_ns) pairs as Python ints, built on each access."""
+        return tuple(zip(self.t_ns.tolist(), self.age_ns.tolist()))
 
     def evaluate(self, t_ns: int) -> int:
         """Age at t_ns (post-jump value at reception instants)."""
-        ts = [bp[0] for bp in self.breakpoints]
-        if not ts or t_ns < ts[0] or t_ns > ts[-1]:
+        ts = self.t_ns
+        if not len(ts) or t_ns < ts[0] or t_ns > ts[-1]:
             raise ValueError("t_ns outside the sample path")
-        i = bisect.bisect_right(ts, t_ns) - 1
-        t0, a0 = self.breakpoints[i]
-        return a0 + (t_ns - t0)
-
-    def integrate(self, t0_ns: int, t1_ns: int) -> float:
-        """Area under the sawtooth on [t0_ns, t1_ns], in seconds squared."""
-        if t1_ns < t0_ns:
-            raise ValueError("non-positive integration window")
-        pts = self.breakpoints
-        area = 0.0
-        for (ta, aa), (tb, ab) in zip(pts, pts[1:]):
-            lo, hi = max(ta, t0_ns), min(tb, t1_ns)
-            if hi <= lo:
-                continue
-            a_lo = aa + (lo - ta)
-            a_hi = aa + (hi - ta)
-            area += (hi - lo) * (a_lo + a_hi) / 2.0
-        return area / (NS_PER_S * NS_PER_S)
+        i = int(np.searchsorted(ts, t_ns, side="right")) - 1
+        return int(self.age_ns[i]) + (t_ns - int(ts[i]))
 
 
-def _effective_records(trace: Trace) -> tuple[Trace, list[UpdateRecord]]:
-    """Effective trace plus its records additionally filtered against the
-    virtual predecessor (a record older than the initial condition cannot
-    refresh the age)."""
-    eff = effective_trace(trace)
-    origin_gen = trace.observe_start_ns - trace.initial_age_ns
-    recs = [r for r in eff.records if r.gen_ns > origin_gen]
-    return eff, recs
+@dataclass(frozen=True)
+class _Teeth:
+    """The effective updates of a trace with the virtual predecessor first:
+    ``gen``/``recv`` in ns, N+1 entries each. ``beta``/``theta`` hold the
+    per-interval terms (r_{i-1} - s_{i-1}, r_i - s_{i-1}) in seconds,
+    i = 1..N."""
+
+    gen: np.ndarray
+    recv: np.ndarray
+    beta: np.ndarray
+    theta: np.ndarray
+    horizon: float  # r_N - r_0, seconds
+
+    @property
+    def n(self) -> int:
+        return len(self.beta)
+
+    def require(self) -> "_Teeth":
+        """The teeth, if the per-interval forms are defined on them."""
+        if not self.n:
+            raise TraceError("no effective updates")
+        if self.horizon <= 0:
+            raise TraceError("non-positive horizon")
+        return self
+
+
+def _teeth(trace: Trace) -> _Teeth:
+    """Effective updates: generated after every earlier-received update and
+    after the virtual predecessor (a record older than the initial
+    condition cannot refresh the age)."""
+    start = trace.observe_start_ns
+    origin_gen = start - trace.initial_age_ns
+    keep = fresh_mask(trace.gen_ns, origin_gen)
+    gen = np.concatenate(([origin_gen], trace.gen_ns[keep]))
+    recv = np.concatenate(([start], trace.recv_ns[keep]))
+    beta, theta = (recv[:-1] - gen[:-1]) / NS_PER_S, (recv[1:] - gen[:-1]) / NS_PER_S
+    return _Teeth(gen, recv, beta, theta, horizon=(int(recv[-1]) - start) / NS_PER_S)
 
 
 def sample_path(trace: Trace) -> AgeSamplePath:
     """Sawtooth of the age process over the full observation window."""
-    _, recs = _effective_records(trace)
+    t = _teeth(trace)
+    r, g, end = t.recv, t.gen, trace.observe_end_ns
+    # each effective reception adds two breakpoints: the peak, then the post-jump age
+    times = np.concatenate(([r[0]], np.repeat(r[1:], 2), [end]))
+    jumps = np.column_stack((r[1:] - g[:-1], r[1:] - g[1:])).ravel()
+    ages = np.concatenate(([r[0] - g[0]], jumps, [end - g[-1]]))
+    n = len(times) - int(end == r[-1])  # no tail point when the window ends at r_N
+    return AgeSamplePath(t_ns=times[:n], age_ns=ages[:n])
+
+
+def _geometric(trace: Trace, t: _Teeth) -> tuple[float, int]:
+    """(time-average age over the observation window in s, max age in ns):
+    one closed-form piece per tooth, from each effective reception (the
+    observation start first) to the next one or the window end."""
     start, end = trace.observe_start_ns, trace.observe_end_ns
-    cur_gen = start - trace.initial_age_ns
-    pts: list[tuple[int, int]] = [(start, start - cur_gen)]
-    for rec in recs:
-        pts.append((rec.recv_ns, rec.recv_ns - cur_gen))  # peak
-        cur_gen = rec.gen_ns
-        pts.append((rec.recv_ns, rec.recv_ns - cur_gen))  # post-jump
-    if end > pts[-1][0]:
-        pts.append((end, end - cur_gen))
-    return AgeSamplePath(breakpoints=tuple(pts))
-
-
-def _intervals(trace: Trace):
-    """Per-interval terms (beta_i, theta_i) in seconds, i = 1..N, with the
-    virtual predecessor supplying the i=1 predecessor."""
-    _, recs = _effective_records(trace)
-    if not recs:
-        raise TraceError("no effective updates")
-    origin = trace.observe_start_ns
-    prev_gen = origin - trace.initial_age_ns
-    prev_recv = origin
-    beta = np.empty(len(recs))
-    theta = np.empty(len(recs))
-    for i, rec in enumerate(recs):
-        beta[i] = (prev_recv - prev_gen) / NS_PER_S
-        theta[i] = (rec.recv_ns - prev_gen) / NS_PER_S
-        prev_gen, prev_recv = rec.gen_ns, rec.recv_ns
-    horizon = (recs[-1].recv_ns - origin) / NS_PER_S
-    if horizon <= 0:
+    if end <= start:
         raise TraceError("non-positive horizon")
-    return beta, theta, recs, horizon
+    width = np.diff(t.recv, append=end)
+    age = t.recv - t.gen  # at the left end of each piece
+    area = float(np.sum(width.astype(np.float64) * (2 * age + width))) / (2 * NS_PER_S * NS_PER_S)
+    return area / ((end - start) / NS_PER_S), int(np.max(age + width))
+
+
+def _h_terms(t: _Teeth) -> np.ndarray:
+    d = t.theta - t.beta
+    return d * t.beta + d * d / 2.0
 
 
 @dataclass(frozen=True)
 class AreaDecomposition:
-    """Per-interval building blocks of the age area on [r_0, r_N].
+    """Per-interval building blocks of the age area on [r_0, r_N], as float64
+    arrays.
 
     ``q_terms`` holds the N update trapezoids; together with the closing
     triangle Y_N^2/2 and minus the opening triangle age_0^2/2 (the part of
@@ -121,93 +136,82 @@ class AreaDecomposition:
     geometric area, as do the ``h_terms``.
     """
 
-    q_terms: tuple[float, ...]
-    h_terms: tuple[float, ...]
-    interval_terms: tuple[tuple[float, float], ...]  # (beta_i, theta_i)
+    q_terms: np.ndarray
+    h_terms: np.ndarray
+    interval_terms: np.ndarray  # (N, 2) rows of (beta_i, theta_i)
     tail_triangle: float  # Y_N^2 / 2
     initial_triangle: float  # age_0^2 / 2
     horizon: float
 
     @property
     def q_area(self) -> float:
-        return sum(self.q_terms) + self.tail_triangle - self.initial_triangle
+        # summed in record order: the opening triangle can cancel most of
+        # the sum, so the result should not depend on numpy's pairwise blocks
+        return sum(self.q_terms.tolist()) + self.tail_triangle - self.initial_triangle
 
     @property
     def h_area(self) -> float:
-        return sum(self.h_terms)
+        return float(np.sum(self.h_terms))
+
+
+def _decompose(t: _Teeth) -> AreaDecomposition:
+    t.require()
+    x = np.diff(t.gen) / NS_PER_S  # inter-generation times X_i
+    y = (t.recv[1:] - t.gen[1:]) / NS_PER_S  # system times Y_i
+    return AreaDecomposition(
+        q_terms=x * y + x * x / 2.0,
+        h_terms=_h_terms(t),
+        interval_terms=np.column_stack((t.beta, t.theta)),
+        tail_triangle=float(y[-1] * y[-1]) / 2.0,
+        initial_triangle=float(t.beta[0] * t.beta[0]) / 2.0,
+        horizon=t.horizon,
+    )
 
 
 def area_decomposition(trace: Trace) -> AreaDecomposition:
-    beta, theta, recs, horizon = _intervals(trace)
-    origin = trace.observe_start_ns
-    prev_gen = origin - trace.initial_age_ns
-    q_terms = []
-    for rec in recs:
-        x = (rec.gen_ns - prev_gen) / NS_PER_S  # inter-generation time X_i
-        y = (rec.recv_ns - rec.gen_ns) / NS_PER_S  # system time Y_i
-        q_terms.append(x * y + x * x / 2.0)
-        prev_gen = rec.gen_ns
-    d = theta - beta
-    h_terms = d * beta + d * d / 2.0
-    y_last = (recs[-1].recv_ns - recs[-1].gen_ns) / NS_PER_S
-    age0 = trace.initial_age_ns / NS_PER_S
-    return AreaDecomposition(
-        q_terms=tuple(q_terms),
-        h_terms=tuple(float(h) for h in h_terms),
-        interval_terms=tuple(zip(beta.tolist(), theta.tolist())),
-        tail_triangle=y_last * y_last / 2.0,
-        initial_triangle=age0 * age0 / 2.0,
-        horizon=horizon,
-    )
+    return _decompose(_teeth(trace))
 
 
 def time_average_age(trace: Trace, method: str = GEOMETRIC) -> float:
     """Time-average age in seconds.
 
-    ``geometric``: exact trapezoidal area of the sawtooth over the full
-    observation window. ``qform``/``hform``: per-interval trapezoid sums on
-    [r_0, r_N]; both agree with the geometric area restricted to that
-    horizon to floating tolerance.
+    ``geometric``: exact area of the sawtooth over the full observation
+    window. ``qform``/``hform``: per-interval trapezoid sums on [r_0, r_N];
+    both agree with the geometric area restricted to that horizon to
+    floating tolerance.
     """
+    if method not in (GEOMETRIC, QFORM, HFORM):
+        raise ValueError(f"unknown method {method!r}")
+    t = _teeth(trace)
     if method == GEOMETRIC:
-        start, end = trace.observe_start_ns, trace.observe_end_ns
-        if end <= start:
-            raise TraceError("non-positive horizon")
-        path = sample_path(trace)
-        return path.integrate(start, end) / ((end - start) / NS_PER_S)
-    beta, theta, recs, horizon = _intervals(trace)
+        return _geometric(trace, t)[0]
     if method == HFORM:
-        d = theta - beta
-        return float(np.sum(d * beta + d * d / 2.0)) / horizon
-    if method == QFORM:
-        dec = area_decomposition(trace)
-        return dec.q_area / horizon
-    raise ValueError(f"unknown method {method!r}")
+        return float(np.sum(_h_terms(t.require()))) / t.horizon
+    return _decompose(t).q_area / t.horizon
 
 
 def peak_average_age(trace: Trace) -> float:
     """Mean of the sawtooth values immediately before each downward jump:
     (1/N) sum_i (r_i - s_{i-1}), in seconds."""
-    beta, theta, recs, _ = _intervals(trace)
-    return float(np.mean(theta))
+    return float(np.mean(_teeth(trace).require().theta))
+
+
+def _penalty_average(t: _Teeth, f: PenaltyFunction) -> float:
+    t.require()
+    return float(np.sum(f.F(t.theta) - f.F(t.beta))) / t.horizon
 
 
 def penalty_average(trace: Trace, f: PenaltyFunction) -> float:
     """Time-average penalty (1/T) sum_i [F(theta_i) - F(beta_i)] on the
     horizon [r_0, r_N]; identical to (1/T) * integral of f(age(t))."""
-    beta, theta, recs, horizon = _intervals(trace)
-    return float(np.sum(f.F(theta) - f.F(beta))) / horizon
+    return _penalty_average(_teeth(trace), f)
 
 
 def loss_runs(seqs) -> dict[int, int]:
     """Histogram {run_length: count} of consecutive-loss runs from seq gaps."""
-    uniq = sorted(set(seqs))
-    runs: dict[int, int] = {}
-    for a, b in zip(uniq, uniq[1:]):
-        gap = b - a - 1
-        if gap > 0:
-            runs[gap] = runs.get(gap, 0) + 1
-    return runs
+    gaps = np.diff(np.sort(np.asarray(seqs, dtype=np.int64))) - 1  # repeats give -1
+    lengths, counts = np.unique(gaps[gaps > 0], return_counts=True)
+    return dict(zip(lengths.tolist(), counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -240,26 +244,16 @@ def compute_statistics(trace: Trace, f: PenaltyFunction | None = None) -> AgeSta
     for age values; loss runs come from seq gaps of the raw records."""
     if f is None:
         f = linear(1.0)
-    runs = loss_runs([r.seq for r in trace.records])
-    _, recs = _effective_records(trace)
-    n_stale = len(trace.records) - len(recs)
-    if not recs:
-        return AgeStatistics(
-            avg_age=None,
-            peak_age=None,
-            avg_penalty=None,
-            max_age=None,
-            n_effective=0,
-            n_stale_discarded=n_stale,
-            loss_runs=runs,
-        )
-    path = sample_path(trace)
+    runs = loss_runs(trace.seq)
+    t = _teeth(trace)
+    stats = dict(n_effective=t.n, n_stale_discarded=len(trace) - t.n, loss_runs=runs)
+    if not t.n:
+        return AgeStatistics(avg_age=None, peak_age=None, avg_penalty=None, max_age=None, **stats)
+    avg_age, max_age_ns = _geometric(trace, t)
     return AgeStatistics(
-        avg_age=time_average_age(trace, GEOMETRIC),
-        peak_age=peak_average_age(trace),
-        avg_penalty=penalty_average(trace, f),
-        max_age=max(a for _, a in path.breakpoints) / NS_PER_S,
-        n_effective=len(recs),
-        n_stale_discarded=n_stale,
-        loss_runs=runs,
+        avg_age=avg_age,
+        peak_age=float(np.mean(t.theta)),
+        avg_penalty=_penalty_average(t, f),
+        max_age=max_age_ns / NS_PER_S,
+        **stats,
     )

@@ -15,16 +15,13 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
-
-import numpy as np
+from dataclasses import asdict, replace
 
 from . import __version__
 from .agestats import compute_statistics, sample_path
 from .penalty import from_name
-from .queuesim import SimConfig, load_sweep, simulate_queue
-from .syncbias import penalty_average, shift_reception
-from .trace import Trace, TraceError, read_trace_csv, write_trace_csv
+from .queuesim import SimConfig, bias_experiment, load_sweep, simulate_queue
+from .trace import Trace, TraceError, read_trace_csv, write_rows, write_trace_csv
 from .net import (
     Receiver,
     RegionConfig,
@@ -119,7 +116,7 @@ def cmd_analyze(args, out_dir: str) -> int:
         raise UsageError("analyze mode requires --trace")
     with open(args.trace) as fp:
         trace = read_trace_csv(fp)
-    if not trace.records:
+    if not len(trace):
         raise RuntimeError("trace has no records")
     stats = compute_statistics(trace, from_name(args.penalty, args.alpha))
     with open(os.path.join(out_dir, "stats.json"), "w") as fp:
@@ -128,39 +125,29 @@ def cmd_analyze(args, out_dir: str) -> int:
     path = sample_path(trace)
     with open(os.path.join(out_dir, "samplepath.csv"), "w") as fp:
         fp.write("t_ns,age_ns\n")
-        for t, a in path.breakpoints:
-            fp.write(f"{t},{a}\n")
-    report = classify_regions(trace.records, RegionConfig(window_s=args.window_s))
-    _write_csv(
-        os.path.join(out_dir, "regions.csv"),
-        [
-            {
-                "label": lab.label,
-                "start_seq": lab.start_seq,
-                "end_seq": lab.end_seq,
-                "loss_rate": lab.loss_rate,
-                "max_loss_run": lab.max_loss_run,
-                "delay_ratio": lab.delay_ratio,
-            }
-            for lab in report.labels
-        ],
-    )
+        write_rows(fp, (path.t_ns, path.age_ns))
+    report = classify_regions(trace, RegionConfig(window_s=args.window_s))
+    _write_csv(os.path.join(out_dir, "regions.csv"), [asdict(lab) for lab in report.labels])
     print(json.dumps(stats.to_dict()))
     return 0
+
+
+def _sim_config(args, arrival_rate: float) -> SimConfig:
+    return SimConfig(
+        arrival_rate=arrival_rate,
+        service_rate=args.mu,
+        arrival=args.arrival,
+        service=args.service,
+        buffer_capacity=args.queue_cap,
+        n_events=args.events,
+        seed=args.seed,
+    )
 
 
 def cmd_simulate(args, out_dir: str) -> int:
     if args.lam is None:
         raise UsageError("simulate mode requires --lambda")
-    cfg = SimConfig(
-        arrival_rate=args.lam,
-        service_rate=args.mu,
-        arrival=args.arrival,
-        service="exponential" if args.service == "exponential" else "deterministic",
-        buffer_capacity=args.queue_cap,
-        n_events=args.events,
-        seed=args.seed,
-    )
+    cfg = _sim_config(args, args.lam)
     result = simulate_queue(cfg)
     with open(os.path.join(out_dir, "trace.csv"), "w") as fp:
         write_trace_csv(result.trace, fp)
@@ -181,16 +168,7 @@ def cmd_sweep(args, out_dir: str) -> int:
         if not args.rates:
             raise UsageError("sim sweep requires --rates")
         rates = [float(r) for r in args.rates.split(",") if r]
-        base = SimConfig(
-            arrival_rate=rates[0],
-            service_rate=args.mu,
-            arrival=args.arrival,
-            service="exponential" if args.service == "exponential" else "deterministic",
-            buffer_capacity=args.queue_cap,
-            n_events=args.events,
-            seed=args.seed,
-        )
-        result = load_sweep(base, rates, seeds_per_point=args.seeds)
+        result = load_sweep(_sim_config(args, rates[0]), rates, seeds_per_point=args.seeds)
         rows = result.to_rows()
         _write_csv(os.path.join(out_dir, "sweep.csv"), rows)
         print(json.dumps(rows))
@@ -219,26 +197,11 @@ def cmd_bias_experiment(args, out_dir: str) -> int:
     if args.lam is None:
         raise UsageError("bias-experiment mode requires --lambda")
     f = from_name(args.penalty, args.alpha)
-    base = SimConfig(
-        arrival_rate=args.lam,
-        service_rate=args.mu,
-        n_events=args.events,
-        seed=args.seed,
-    )
+    base = _sim_config(args, args.lam)
     rows = []
-    for k in range(args.seeds):
-        cfg = replace(base, seed=args.seed + k)
-        result = simulate_queue(cfg)
-        unbiased = penalty_average(result.trace, f)
-        biased = penalty_average(shift_reception(result.trace, args.bias_ns).trace, f)
-        rows.append(
-            {
-                "seed": cfg.seed,
-                "unbiased": unbiased,
-                "biased": biased,
-                "difference": biased - unbiased,
-            }
-        )
+    for seed in range(args.seed, args.seed + args.seeds):
+        unbiased, biased = bias_experiment(replace(base, seed=seed), args.bias_ns, f)
+        rows.append({"seed": seed, "unbiased": unbiased, "biased": biased, "difference": biased - unbiased})
     _write_csv(os.path.join(out_dir, "bias.csv"), rows)
     if args.penalty == "linear":
         expected = args.alpha * args.bias_ns / 1e9
@@ -258,15 +221,7 @@ def cmd_measure(args, out_dir: str) -> int:
         if not args.addr:
             raise UsageError("probe role requires --addr")
         est = estimate_offset(args.addr, probe_count=args.probes)
-        print(
-            json.dumps(
-                {
-                    "bias_ns": est.bias_ns,
-                    "min_rtt_ns": est.min_rtt_ns,
-                    "probes_used": est.probes_used,
-                }
-            )
-        )
+        print(json.dumps(asdict(est)))
         return 0
     if args.role == "send":
         if not args.addr or not args.rate_plan:

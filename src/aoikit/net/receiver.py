@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from ..agestats import AgeStatistics, compute_statistics
 from ..trace import Trace, UpdateRecord
 from .clock import DEFAULT_CLOCK, SessionClock
-from .sender import TCP, UDP
+from .sender import UDP, listen_socket
 from .wire import PT_UPDATE, FrameReader, WireError, decode
 
 
@@ -43,18 +43,7 @@ class Receiver:
         self._lock = threading.Lock()
         self._running = False
         self._thread: threading.Thread | None = None
-        if proto == UDP:
-            self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 23)
-        elif proto == TCP:
-            self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        else:
-            raise ValueError(f"unknown proto {proto!r}")
-        self._sock.bind(bind_addr)
-        if proto == TCP:
-            self._sock.listen(1)
-        self._sock.settimeout(0.2)
+        self._sock = listen_socket(proto, bind_addr)
         self.local_addr = self._sock.getsockname()
 
     # -- lifecycle ---------------------------------------------------------

@@ -1,7 +1,8 @@
 """Operating-region classification of a measured update stream.
 
-The stream is cut into fixed windows of receiver time. Each window is labeled
-from its loss and delay evidence:
+The stream is cut into fixed windows of receiver time; only windows that
+hold a record exist, so an outlier timestamp costs nothing. Each window is
+labeled from its loss and delay evidence:
 
 * Relaxed: essentially no loss, delay at the baseline level.
 * Busy: losses present but only in short runs, delay still near baseline.
@@ -21,7 +22,9 @@ from dataclasses import dataclass
 from statistics import median
 from typing import Optional, Sequence
 
-from ..trace import NS_PER_S, UpdateRecord
+import numpy as np
+
+from ..trace import NS_PER_S, Trace, UpdateRecord, record_columns
 
 RELAXED = "relaxed"
 BUSY = "busy"
@@ -62,86 +65,56 @@ class RegionReport:
         return out
 
 
-def _windows(records: Sequence[UpdateRecord], window_s: float):
-    width = round(window_s * NS_PER_S)
-    t0 = records[0].recv_ns
-    wins: list[list[UpdateRecord]] = []
-    for rec in records:
-        idx = (rec.recv_ns - t0) // width
-        while len(wins) <= idx:
-            wins.append([])
-        wins[idx].append(rec)
-    return [w for w in wins if w]
-
-
 def classify_regions(
-    records: Sequence[UpdateRecord], config: RegionConfig | None = None
+    records: Trace | Sequence[UpdateRecord], config: RegionConfig | None = None
 ) -> RegionReport:
-    """Label each window of the received stream. Records must carry the raw
-    (possibly gapped) seq numbers; delays are recv - gen per record."""
+    """Label each window of the received stream. ``records`` is a trace or a
+    record sequence (converted to columns once); either must carry the raw
+    (possibly gapped) seq numbers. Delays are recv - gen per record."""
     if config is None:
         config = RegionConfig()
-    if not records:
+    if isinstance(records, Trace):
+        seq, gen, recv = records.seq, records.gen_ns, records.recv_ns
+    else:
+        seq, gen, recv = record_columns(records)
+    if not len(seq):
         raise ValueError("no records to classify")
-    records = sorted(records, key=lambda r: r.recv_ns)
-    wins = _windows(records, config.window_s)
+    window = (recv - recv.min()) // round(config.window_s * NS_PER_S)
+    # group by window, seqs ascending within each; only non-empty windows exist
+    order = np.lexsort((seq, window))
+    window, seq, delay_ns = window[order], seq[order], (recv - gen)[order]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(window)) + 1))
+    counts = np.diff(starts, append=len(seq))
 
-    evidence = []
-    prev_last_seq: Optional[int] = None
-    for win in wins:
-        seqs = sorted(r.seq for r in win)
-        lost = 0
-        max_run = 0
-        run_anchor = prev_last_seq if prev_last_seq is not None else seqs[0]
-        last = run_anchor
-        for s in seqs:
-            gap = s - last - 1
-            if gap > 0:
-                lost += gap
-                max_run = max(max_run, gap)
-            last = s
-        prev_last_seq = seqs[-1]
-        loss_rate = lost / (lost + len(seqs))
-        delay = median((r.recv_ns - r.gen_ns) / NS_PER_S for r in win)
-        evidence.append((win, loss_rate, max_run, delay))
+    # a window's first gap is measured from the previous window's last seq
+    gaps = np.maximum(np.diff(seq, prepend=seq[0]) - 1, 0)
+    lost = np.add.reduceat(gaps, starts)
+    max_run = np.maximum.reduceat(gaps, starts)
+    loss_rate = lost / (lost + counts)
+    # sort delays within each window: order by (window ordinal, delay rank)
+    rank = np.empty(len(seq), dtype=np.int64)
+    rank[np.argsort(delay_ns)] = np.arange(len(seq))
+    ordinal = np.repeat(np.arange(len(starts)), counts)
+    delay_ns = np.sort(delay_ns)[np.sort(ordinal * len(seq) + rank) % len(seq)]
+    mid = starts + counts // 2
+    # the median; for an odd count both picks are the middle element
+    delay = (delay_ns[mid - 1 + counts % 2] / NS_PER_S + delay_ns[mid] / NS_PER_S) / 2
 
-    baseline = None
-    for _, loss_rate, _, delay in evidence:
-        if loss_rate < config.max_relaxed_loss_rate:
-            baseline = delay
-            break
-    from_global = baseline is None
-    if from_global:
-        baseline = median(e[3] for e in evidence)
+    quiet = loss_rate < config.max_relaxed_loss_rate
+    from_global = not quiet.any()
+    baseline = median(delay.tolist()) if from_global else float(delay[np.argmax(quiet)])
+    ratio = delay / baseline if baseline > 0 else np.full(len(delay), np.inf)
 
-    labels = []
-    for win, loss_rate, max_run, delay in evidence:
-        ratio = delay / baseline if baseline > 0 else float("inf")
-        panicked = max_run >= config.panicked_min_run or (
-            config.panicked_delay_ratio is not None
-            and ratio >= config.panicked_delay_ratio
-        )
-        relaxed = loss_rate < config.max_relaxed_loss_rate and (
-            config.relaxed_delay_ratio is None or ratio <= config.relaxed_delay_ratio
-        )
-        if panicked:
-            label = PANICKED
-        elif relaxed:
-            label = RELAXED
-        else:
-            label = BUSY
-        labels.append(
-            RegionLabel(
-                label=label,
-                start_seq=min(r.seq for r in win),
-                end_seq=max(r.seq for r in win),
-                loss_rate=loss_rate,
-                max_loss_run=max_run,
-                delay_ratio=ratio,
-            )
-        )
+    panicked = max_run >= config.panicked_min_run
+    if config.panicked_delay_ratio is not None:
+        panicked |= ratio >= config.panicked_delay_ratio
+    relaxed = quiet
+    if config.relaxed_delay_ratio is not None:
+        relaxed = relaxed & (ratio <= config.relaxed_delay_ratio)
+    label = np.where(panicked, PANICKED, np.where(relaxed, RELAXED, BUSY))
+    columns = (label, seq[starts], seq[starts + counts - 1], loss_rate, max_run, ratio)
     return RegionReport(
-        labels=tuple(labels),
+        labels=tuple(map(RegionLabel, *(c.tolist() for c in columns))),
         baseline_delay_s=baseline,
         baseline_from_global=from_global,
     )

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .sender import TCP, UDP
+from .sender import UDP, listen_socket
 from .wire import FrameReader, frame
 
 
@@ -49,18 +49,7 @@ class Relay:
         self._lock = threading.Lock()
         self._running = False
         self._threads: list[threading.Thread] = []
-        if proto == UDP:
-            self._in = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            self._in.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 23)
-        elif proto == TCP:
-            self._in = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            self._in.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        else:
-            raise ValueError(f"unknown proto {proto!r}")
-        self._in.bind(listen_addr)
-        if proto == TCP:
-            self._in.listen(1)
-        self._in.settimeout(0.2)
+        self._in = listen_socket(proto, listen_addr)
         self.listen_addr = self._in.getsockname()
 
     def start(self) -> "Relay":

@@ -20,6 +20,23 @@ UDP = "udp"
 TCP = "tcp"
 
 
+def listen_socket(proto: str, bind_addr: tuple[str, int]) -> socket.socket:
+    """Bound intake socket with a 0.2 s timeout: UDP with a large receive
+    buffer, or a listening TCP socket."""
+    if proto not in (UDP, TCP):
+        raise ValueError(f"unknown proto {proto!r}")
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM if proto == UDP else socket.SOCK_STREAM)
+    if proto == UDP:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 23)
+    else:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    sock.bind(bind_addr)
+    if proto == TCP:
+        sock.listen(1)
+    sock.settimeout(0.2)
+    return sock
+
+
 @dataclass(frozen=True)
 class RateStep:
     rate: float  # packets per second

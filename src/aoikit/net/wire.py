@@ -43,18 +43,25 @@ class Packet:
 def encode_update(seq: int, gen_ns: int, payload_size: int = MIN_PAYLOAD) -> bytes:
     if not MIN_PAYLOAD <= payload_size <= MAX_PAYLOAD:
         raise WireError(f"payload_size must be in [{MIN_PAYLOAD}, {MAX_PAYLOAD}]")
-    head = _HEADER.pack(MAGIC, PT_UPDATE, seq, gen_ns)
+    try:
+        head = _HEADER.pack(MAGIC, PT_UPDATE, seq, gen_ns)
+    except struct.error:
+        raise WireError("seq and gen_ns must fit u64") from None
     return head + b"\x00" * (payload_size - HEADER_SIZE)
 
 
 def encode_probe(seq: int, gen_ns: int) -> bytes:
-    return _HEADER.pack(MAGIC, PT_PROBE, seq, gen_ns)
+    try:
+        return _HEADER.pack(MAGIC, PT_PROBE, seq, gen_ns)
+    except struct.error:
+        raise WireError("seq and gen_ns must fit u64") from None
 
 
 def encode_probe_echo(seq: int, gen_ns: int, reflector_recv_ns: int) -> bytes:
-    return _HEADER.pack(MAGIC, PT_PROBE_ECHO, seq, gen_ns) + _ECHO_TAIL.pack(
-        reflector_recv_ns
-    )
+    try:
+        return _HEADER.pack(MAGIC, PT_PROBE_ECHO, seq, gen_ns) + _ECHO_TAIL.pack(reflector_recv_ns)
+    except struct.error:
+        raise WireError("seq, gen_ns and reflector_recv_ns must fit u64") from None
 
 
 def decode(data: bytes) -> Packet:

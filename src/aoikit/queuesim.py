@@ -19,10 +19,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .agestats import HFORM, peak_average_age, time_average_age
+from .agestats import HFORM, peak_average_age, penalty_average, time_average_age
 from .penalty import PenaltyFunction
-from .syncbias import penalty_average, shift_reception
-from .trace import Trace, UpdateRecord, s_to_ns
+from .syncbias import shift_reception
+from .trace import NS_PER_S, Trace
 
 POISSON = "poisson"
 DETERMINISTIC = "deterministic"
@@ -93,30 +93,33 @@ def simulate_queue(config: SimConfig, rng: np.random.Generator | None = None) ->
     arrivals = np.cumsum(inter)
     in_system: deque[float] = deque()  # departure times of admitted packets
     last_dep = 0.0
-    records: list[UpdateRecord] = []
+    admitted: list[int] = []
+    departures: list[float] = []
     dropped = 0
-    for seq in range(n):
-        t = float(arrivals[seq])
+    for seq, (t, s) in enumerate(zip(arrivals.tolist(), svc.tolist())):
         while in_system and in_system[0] <= t:
             in_system.popleft()
         if max_in_system is not None and len(in_system) >= max_in_system:
             dropped += 1
             continue
-        dep = max(t, last_dep) + float(svc[seq])
+        dep = max(t, last_dep) + s
         in_system.append(dep)
         last_dep = dep
-        records.append(UpdateRecord(seq=seq, gen_ns=s_to_ns(t), recv_ns=s_to_ns(dep)))
+        admitted.append(seq)
+        departures.append(dep)
 
-    skip = math.floor(config.warmup_fraction * len(records))
-    kept = records[skip:]
-    trace = Trace.from_records(kept)
-    delays = [(r.recv_ns - r.gen_ns) / 1e9 for r in kept]
+    # np.rint matches s_to_ns's round() bit for bit: both round half to even
+    seq = np.array(admitted, dtype=np.int64)
+    gen_ns = np.rint(arrivals[seq] * NS_PER_S).astype(np.int64)
+    recv_ns = np.rint(np.array(departures) * NS_PER_S).astype(np.int64)
+    skip = math.floor(config.warmup_fraction * len(seq))
+    seq, gen_ns, recv_ns = seq[skip:], gen_ns[skip:], recv_ns[skip:]
     return SimResult(
-        trace=trace,
+        trace=Trace.from_columns(seq, gen_ns, recv_ns),
         n_generated=n,
         n_dropped=dropped,
         unstable=cap is None and config.load >= 1.0,
-        mean_delay=float(np.mean(delays)) if delays else float("nan"),
+        mean_delay=float(np.mean((recv_ns - gen_ns) / 1e9)) if len(seq) else float("nan"),
     )
 
 

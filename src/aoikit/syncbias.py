@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .agestats import _intervals, penalty_average
+from .agestats import _teeth, penalty_average
 from .penalty import (
     EXPONENTIAL,
     LINEAR,
@@ -21,7 +21,7 @@ from .penalty import (
     PenaltyDomainError,
     PenaltyFunction,
 )
-from .trace import NS_PER_S, Trace, UpdateRecord
+from .trace import NS_PER_S, Trace
 
 
 @dataclass(frozen=True)
@@ -45,22 +45,17 @@ def shift_reception(trace: Trace, bias: ClockBiasModel | int) -> ShiftedTrace:
     window; generation stamps are untouched. A negative apparent delay is
     permitted (it models mis-synchronization) but flagged."""
     b = bias.bias_ns if isinstance(bias, ClockBiasModel) else int(bias)
-    records = tuple(
-        UpdateRecord(seq=r.seq, gen_ns=r.gen_ns, recv_ns=r.recv_ns + b)
-        for r in trace.records
-    )
+    recv_ns = trace.recv_ns + b
     # the virtual predecessor's reception shifts with every other reception
     # while its generation stays put, so the apparent initial age grows by B
     shifted = replace(
         trace,
-        records=records,
+        recv_ns=recv_ns,
         initial_age_ns=trace.initial_age_ns + b,
         observe_start_ns=trace.observe_start_ns + b,
         observe_end_ns=trace.observe_end_ns + b,
     )
-    negative = trace.initial_age_ns + b < 0 or any(
-        r.recv_ns < r.gen_ns for r in records
-    )
+    negative = trace.initial_age_ns + b < 0 or bool(np.any(recv_ns < trace.gen_ns))
     return ShiftedTrace(trace=shifted, negative_delay=negative)
 
 
@@ -85,7 +80,8 @@ def sync_bias_closed_form(trace: Trace, f: PenaltyFunction, bias_ns: int) -> flo
     a = f.alpha
     if f.kind == LINEAR:
         return a * b
-    beta, theta, _, horizon = _intervals(trace)
+    t = _teeth(trace).require()
+    beta, theta, horizon = t.beta, t.theta, t.horizon
     if f.kind == EXPONENTIAL:
         total = np.sum(
             np.exp(a * (theta + b))

@@ -1,15 +1,20 @@
 """Update traces: timestamped generation/reception records and CSV I/O.
 
-All timestamps are integer nanoseconds. Statistics modules convert to
-double-precision seconds relative to the observation window, so absolute
-epoch-scale values stay lossless on disk and on the wire.
+All timestamps are integer nanoseconds. A trace stores them as int64 numpy
+columns; statistics modules convert to double-precision seconds relative to
+the observation window, so absolute epoch-scale values stay lossless on disk
+and on the wire.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field, replace
+import re
+import warnings
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
+
+import numpy as np
 
 NS_PER_S = 1_000_000_000
 
@@ -40,9 +45,29 @@ class UpdateRecord:
         return self.recv_ns - self.gen_ns
 
 
-@dataclass(frozen=True)
+def record_columns(records: Iterable[UpdateRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(seq, gen_ns, recv_ns) int64 columns of a record sequence, in its order."""
+    rows = np.array([(r.seq, r.gen_ns, r.recv_ns) for r in records], dtype=np.int64)
+    return tuple(rows.reshape(-1, 3).T)
+
+
+def sorted_columns(seq, gen_ns, recv_ns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns ordered by (recv_ns, seq), stably; sorted only if they are not."""
+    seq, gen_ns, recv_ns = (np.asarray(c, dtype=np.int64) for c in (seq, gen_ns, recv_ns))
+    dr = np.diff(recv_ns)
+    if np.any((dr < 0) | ((dr == 0) & (np.diff(seq) < 0))):
+        order = np.lexsort((seq, recv_ns))
+        seq, gen_ns, recv_ns = seq[order], gen_ns[order], recv_ns[order]
+    return seq, gen_ns, recv_ns
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Trace:
     """An ordered sequence of updates plus the observation window.
+
+    The updates are three int64 columns sorted by ``recv_ns``. ``records``
+    is a per-record view built on each access, O(n) objects; passing
+    ``records`` to the constructor replaces the columns.
 
     ``initial_age_ns`` is the age at ``observe_start_ns``. Internally it is
     realized as a virtual predecessor update generated at
@@ -51,30 +76,50 @@ class Trace:
     meaning.
     """
 
-    records: tuple[UpdateRecord, ...]
+    seq: np.ndarray
+    gen_ns: np.ndarray
+    recv_ns: np.ndarray
     initial_age_ns: int = 0
     observe_start_ns: int = 0
     observe_end_ns: int = 0
     n_stale_discarded: int = 0
 
-    def __post_init__(self):
-        last_recv = None
-        for rec in self.records:
-            if last_recv is not None and rec.recv_ns < last_recv:
-                raise TraceError("records must be sorted by recv_ns")
-            last_recv = rec.recv_ns
+    def __init__(self, records: Iterable[UpdateRecord] | None = None, initial_age_ns: int = 0,
+                 observe_start_ns: int = 0, observe_end_ns: int = 0, n_stale_discarded: int = 0,
+                 *, seq=(), gen_ns=(), recv_ns=()):
+        if records is not None:
+            seq, gen_ns, recv_ns = record_columns(records)
+        seq, gen_ns, recv_ns = (np.ascontiguousarray(c, dtype=np.int64).view() for c in (seq, gen_ns, recv_ns))
+        if not len(seq) == len(gen_ns) == len(recv_ns):
+            raise TraceError("columns differ in length")
+        if np.any(recv_ns[1:] < recv_ns[:-1]):
+            raise TraceError("records must be sorted by recv_ns")
         # initial_age_ns may be negative: a bias-shifted trace can report a
         # physically impossible apparent age (mis-synchronization)
-        if self.records:
-            if self.observe_start_ns > self.records[0].recv_ns:
+        if len(recv_ns):
+            if observe_start_ns > recv_ns[0]:
                 raise TraceError("observe_start_ns must not exceed first recv_ns")
-            if self.observe_end_ns < self.records[-1].recv_ns:
+            if observe_end_ns < recv_ns[-1]:
                 raise TraceError("observe_end_ns must cover last recv_ns")
-        elif self.observe_end_ns < self.observe_start_ns:
+        elif observe_end_ns < observe_start_ns:
             raise TraceError("empty observation window")
+        for col in (seq, gen_ns, recv_ns):
+            col.flags.writeable = False  # views: the caller's arrays stay writeable
+        window = (initial_age_ns, observe_start_ns, observe_end_ns, n_stale_discarded)
+        for f, value in zip(fields(self), (seq, gen_ns, recv_ns, *map(int, window))):
+            object.__setattr__(self, f.name, value)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.seq)
+
+    @property
+    def records(self) -> tuple[UpdateRecord, ...]:
+        return tuple(map(UpdateRecord, self.seq.tolist(), self.gen_ns.tolist(), self.recv_ns.tolist()))
 
     @property
     def virtual_origin(self) -> UpdateRecord:
@@ -99,18 +144,16 @@ class Trace:
         Convenience constructor for tests and the simulator; seqs default to
         0..n-1.
         """
-        if seqs is None:
-            seqs = range(len(gen_recv))
-        records = tuple(
-            UpdateRecord(seq=q, gen_ns=s_to_ns(g), recv_ns=s_to_ns(r))
-            for q, (g, r) in zip(seqs, gen_recv)
-        )
+        gen = [s_to_ns(g) for g, _ in gen_recv]
+        recv = [s_to_ns(r) for _, r in gen_recv]
         if observe_start is None:
-            observe_start = ns_to_s(records[0].recv_ns) if records else 0.0
+            observe_start = ns_to_s(recv[0]) if recv else 0.0
         if observe_end is None:
-            observe_end = ns_to_s(records[-1].recv_ns) if records else observe_start
+            observe_end = ns_to_s(recv[-1]) if recv else observe_start
         return cls(
-            records=records,
+            seq=range(len(gen)) if seqs is None else list(seqs),
+            gen_ns=gen,
+            recv_ns=recv,
             initial_age_ns=s_to_ns(initial_age),
             observe_start_ns=s_to_ns(observe_start),
             observe_end_ns=s_to_ns(observe_end),
@@ -118,22 +161,29 @@ class Trace:
 
     @classmethod
     def from_records(cls, records: Iterable[UpdateRecord]) -> "Trace":
-        """Anchor a measured/simulated record stream into a trace.
+        """:meth:`from_columns` of a measured/simulated record stream."""
+        return cls.from_columns(*record_columns(records))
 
-        The first record becomes the virtual predecessor: it defines the
-        observation start and the initial age; the remaining records form the
-        trace body.
+    @classmethod
+    def from_columns(cls, seq, gen_ns, recv_ns) -> "Trace":
+        """Anchor an update stream, given as columns, into a trace.
+
+        The first update by (recv_ns, seq) becomes the virtual predecessor: it
+        defines the observation start and the initial age; the remaining
+        updates form the trace body.
         """
-        recs = sorted(records, key=lambda r: (r.recv_ns, r.seq))
-        if not recs:
-            return cls(records=())
-        anchor, rest = recs[0], tuple(recs[1:])
-        return cls(
-            records=rest,
-            initial_age_ns=anchor.recv_ns - anchor.gen_ns,
-            observe_start_ns=anchor.recv_ns,
-            observe_end_ns=rest[-1].recv_ns if rest else anchor.recv_ns,
-        )
+        seq, gen_ns, recv_ns = sorted_columns(seq, gen_ns, recv_ns)
+        if not len(seq):
+            return cls()
+        return cls(initial_age_ns=recv_ns[0] - gen_ns[0], observe_start_ns=recv_ns[0],
+                   observe_end_ns=recv_ns[-1], seq=seq[1:], gen_ns=gen_ns[1:], recv_ns=recv_ns[1:])
+
+
+def fresh_mask(gen_ns: np.ndarray, floor: int) -> np.ndarray:
+    """True for each update generated after ``floor`` and after every update
+    received before it."""
+    prior = np.maximum.accumulate(np.concatenate(([floor], gen_ns[:-1])))
+    return gen_ns > prior
 
 
 def effective_trace(trace: Trace) -> Trace:
@@ -145,30 +195,29 @@ def effective_trace(trace: Trace) -> Trace:
     any prior filtering); seq-gap loss statistics are computed from the raw
     trace, not here.
     """
-    kept = []
-    newest_gen = None
-    dropped = 0
-    for rec in trace.records:
-        if newest_gen is None or rec.gen_ns > newest_gen:
-            kept.append(rec)
-            newest_gen = rec.gen_ns
-        else:
-            dropped += 1
-    return replace(
-        trace,
-        records=tuple(kept),
-        n_stale_discarded=trace.n_stale_discarded + dropped,
-    )
+    keep = fresh_mask(trace.gen_ns, np.iinfo(np.int64).min)
+    dropped = len(keep) - int(np.count_nonzero(keep))
+    return replace(trace, seq=trace.seq[keep], gen_ns=trace.gen_ns[keep], recv_ns=trace.recv_ns[keep],
+                   n_stale_discarded=trace.n_stale_discarded + dropped)
 
 
 CSV_HEADER = "seq,gen_ns,recv_ns"
 
-_META_FIELDS = {
-    "observe_start_ns": "observe_start_ns",
-    "observe_end_ns": "observe_end_ns",
-    "initial_age_ns": "initial_age_ns",
-    "clock_bias_ns": None,  # informational; not a Trace field
-}
+# clock_bias_ns is informational: parsed and checked, not a Trace field
+_META_FIELDS = {"observe_start_ns", "observe_end_ns", "initial_age_ns", "clock_bias_ns"}
+_COMMENT = re.compile(r"^[^\S\n]*#(.*)$", re.M)
+_FILLER = re.compile(r"^[^\S\n]*(?:#.*)?$", re.M)  # blank, whitespace-only or comment line
+_FIELD = re.compile(r"[+-]?[0-9]+")
+_CHUNK_ROWS = 1 << 16
+
+
+def write_rows(fp: io.TextIOBase, columns: Sequence[np.ndarray]) -> None:
+    """Write equal-length integer columns as comma-separated rows, formatting
+    one chunk of rows per call so memory stays bounded."""
+    row = ",".join(["%d"] * len(columns)) + "\n"
+    for i in range(0, len(columns[0]), _CHUNK_ROWS):
+        part = np.column_stack([c[i : i + _CHUNK_ROWS] for c in columns]).ravel().tolist()
+        fp.write(row * (len(part) // len(columns)) % tuple(part))
 
 
 def write_trace_csv(trace: Trace, fp: io.TextIOBase, clock_bias_ns: int | None = None) -> None:
@@ -178,55 +227,81 @@ def write_trace_csv(trace: Trace, fp: io.TextIOBase, clock_bias_ns: int | None =
     if clock_bias_ns is not None:
         fp.write(f"# clock_bias_ns={clock_bias_ns}\n")
     fp.write(CSV_HEADER + "\n")
-    for rec in trace.records:
-        fp.write(f"{rec.seq},{rec.gen_ns},{rec.recv_ns}\n")
+    write_rows(fp, (trace.seq, trace.gen_ns, trace.recv_ns))
+
+
+def _take_meta(comment: str, lineno: int, meta: dict[str, int]) -> None:
+    key, eq, val = comment.strip().partition("=")
+    if eq and key.strip() in _META_FIELDS:
+        try:
+            meta[key.strip()] = int(val.strip())
+        except ValueError:
+            raise TraceError(f"line {lineno}: bad metadata value {val!r}")
+
+
+def _load_rows(src) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty body is valid
+        rows = np.loadtxt(src, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+    if rows.size and rows.shape[1] != 3:  # a uniform 2- or 4-column body loads without error
+        raise ValueError(f"{rows.shape[1]} columns")
+    return rows.reshape(-1, 3)
+
+
+def _bad_line(body: str, first_lineno: int) -> str | None:
+    """Message for the first body line the bulk parser rejects."""
+    for lineno, raw in enumerate(body.split("\n"), start=first_lineno):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            return f"line {lineno}: expected 3 fields, got {len(parts)}"
+        if not all(_FIELD.fullmatch(p.strip()) and -(2**63) <= int(p) < 2**63 for p in parts):
+            return f"line {lineno}: field is not an int64 integer in {line!r}"
+    return None
 
 
 def read_trace_csv(fp: io.TextIOBase) -> Trace:
     """Parse the trace CSV schema; raises TraceError with a line number on
-    malformed input."""
+    malformed input. Metadata comments count wherever they appear; the rows
+    after the header are parsed in bulk."""
+    if not fp.seekable():  # a bad body is re-read to find the bad line
+        fp = io.StringIO(fp.read())
     meta: dict[str, int] = {}
-    records: list[UpdateRecord] = []
-    header_seen = False
-    for lineno, raw in enumerate(fp, start=1):
+    lineno = 0
+    for raw in iter(fp.readline, ""):
+        lineno += 1
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, val = body.partition("=")
-                key = key.strip()
-                if key in _META_FIELDS:
-                    try:
-                        meta[key] = int(val.strip())
-                    except ValueError:
-                        raise TraceError(f"line {lineno}: bad metadata value {val!r}")
-            continue
-        if not header_seen:
+            _take_meta(line[1:], lineno, meta)
+        elif line:
             if line != CSV_HEADER:
                 raise TraceError(f"line {lineno}: expected header {CSV_HEADER!r}, got {line!r}")
-            header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise TraceError(f"line {lineno}: expected 3 fields, got {len(parts)}")
-        try:
-            seq, gen_ns, recv_ns = (int(p) for p in parts)
-        except ValueError:
-            raise TraceError(f"line {lineno}: non-integer field in {line!r}")
-        records.append(UpdateRecord(seq=seq, gen_ns=gen_ns, recv_ns=recv_ns))
-    if not header_seen:
+            break
+    else:
         raise TraceError("empty trace file (missing header)")
-    records.sort(key=lambda r: (r.recv_ns, r.seq))
-    start = meta.get("observe_start_ns", records[0].recv_ns if records else 0)
-    end = meta.get("observe_end_ns", records[-1].recv_ns if records else start)
+    body_at = fp.tell()
     try:
-        return Trace(
-            records=tuple(records),
-            initial_age_ns=meta.get("initial_age_ns", 0),
-            observe_start_ns=start,
-            observe_end_ns=end,
-        )
+        rows = _load_rows(fp)
+    except ValueError:  # blank or comment lines in the body, or a bad line
+        fp.seek(body_at)
+        body = fp.read()
+        pos, at = 0, lineno + 1
+        for m in _COMMENT.finditer(body):
+            at += body.count("\n", pos, m.start())
+            pos = m.start()
+            _take_meta(m.group(1), at, meta)
+        body = _FILLER.sub("", body)  # keeps the line count
+        try:
+            rows = _load_rows(io.StringIO(body))
+        except ValueError as exc:
+            raise TraceError(_bad_line(body, lineno + 1) or f"malformed trace body: {exc}") from None
+    seq, gen_ns, recv_ns = sorted_columns(rows[:, 0], rows[:, 1], rows[:, 2])
+    start = meta.get("observe_start_ns", int(recv_ns[0]) if len(recv_ns) else 0)
+    end = meta.get("observe_end_ns", int(recv_ns[-1]) if len(recv_ns) else start)
+    try:
+        return Trace(initial_age_ns=meta.get("initial_age_ns", 0), observe_start_ns=start,
+                     observe_end_ns=end, seq=seq, gen_ns=gen_ns, recv_ns=recv_ns)
     except TraceError as exc:
         raise TraceError(f"inconsistent trace metadata: {exc}")

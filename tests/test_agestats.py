@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aoikit import (
+    PenaltyDomainError,
     Trace,
     TraceError,
     area_decomposition,
@@ -299,3 +300,117 @@ def test_dual_form_equality_property(data, initial_age):
     g = time_average_age(tr, "geometric")  # window already ends at r_N
     assert abs(q - h) <= 1e-9 * abs(h)
     assert abs(g - h) <= 1e-9 * abs(h)
+
+
+# -- vectorized statistics against the scalar per-record loops ----------------
+
+
+def scalar_reference(trace, penalties):
+    """Every statistic from per-record Python loops: the stale filter, the
+    sawtooth breakpoints and their trapezoid areas, and the per-interval
+    terms, evaluated one record at a time. Returns {name: value or the
+    exception type raised}."""
+    ns = 1e9
+    start, end = trace.observe_start_ns, trace.observe_end_ns
+    newest, kept = None, []
+    for r in trace.records:  # effective trace
+        if newest is None or r.gen_ns > newest:
+            kept.append(r)
+            newest = r.gen_ns
+    origin_gen = start - trace.initial_age_ns
+    recs = [r for r in kept if r.gen_ns > origin_gen]
+
+    cur = origin_gen
+    pts = [(start, start - cur)]
+    for r in recs:
+        pts += [(r.recv_ns, r.recv_ns - cur), (r.recv_ns, r.recv_ns - r.gen_ns)]
+        cur = r.gen_ns
+    if end > pts[-1][0]:
+        pts.append((end, end - cur))
+    out = {"max": max(a for _, a in pts) / ns}
+    if end <= start:
+        out["geometric"] = TraceError
+    else:
+        area = 0.0
+        for (ta, aa), (tb, _) in zip(pts, pts[1:]):
+            if tb > ta:  # a jump is two breakpoints at one instant
+                area += (tb - ta) * (aa + aa + (tb - ta)) / 2.0
+        out["geometric"] = area / (ns * ns) / ((end - start) / ns)
+
+    horizon = (recs[-1].recv_ns - start) / ns if recs else 0.0
+    if not recs or horizon <= 0:
+        for name in ("qform", "hform", "peak", *penalties):
+            out[name] = TraceError
+        return out
+    beta, theta, q_terms = np.empty(len(recs)), np.empty(len(recs)), []
+    prev_gen, prev_recv = origin_gen, start
+    for i, r in enumerate(recs):
+        beta[i] = (prev_recv - prev_gen) / ns
+        theta[i] = (r.recv_ns - prev_gen) / ns
+        x, y = (r.gen_ns - prev_gen) / ns, (r.recv_ns - r.gen_ns) / ns
+        q_terms.append(x * y + x * x / 2.0)
+        prev_gen, prev_recv = r.gen_ns, r.recv_ns
+    d = theta - beta
+    out["hform"] = float(np.sum(d * beta + d * d / 2.0)) / horizon
+    y_last, age0 = (recs[-1].recv_ns - recs[-1].gen_ns) / ns, trace.initial_age_ns / ns
+    out["qform"] = (sum(q_terms) + y_last * y_last / 2.0 - age0 * age0 / 2.0) / horizon
+    out["peak"] = float(np.mean(theta))
+    for name, f in penalties.items():
+        try:
+            out[name] = float(np.sum(f.F(theta) - f.F(beta))) / horizon
+        except PenaltyDomainError:
+            out[name] = PenaltyDomainError
+    return out
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except (TraceError, PenaltyDomainError) as exc:
+        return type(exc)
+
+
+@st.composite
+def mixed_traces(draw):
+    """Traces with stale records, records older than the virtual origin, a
+    negative initial age (as after a negative clock shift), and possibly no
+    effective update at all."""
+    n = draw(st.integers(0, 30))
+    start = draw(st.integers(-10**12, 10**12))
+    gaps = draw(st.lists(st.integers(0, 2 * 10**9), min_size=n, max_size=n))
+    delays = draw(st.lists(st.integers(0, 4 * 10**9), min_size=n, max_size=n))
+    recv = np.cumsum([start, *gaps])[1:]
+    return Trace(
+        seq=range(n),
+        gen_ns=recv - np.array(delays, dtype=np.int64),
+        recv_ns=recv,
+        initial_age_ns=draw(st.integers(-2 * 10**9, 3 * 10**9)),
+        observe_start_ns=start,
+        observe_end_ns=(int(recv[-1]) if n else start) + draw(st.integers(0, 2 * 10**9)),
+    )
+
+
+PENALTIES = {"linear": linear(1.0), "exp": exponential(0.5), "log": logarithmic(1.0)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(tr=mixed_traces())
+def test_vectorized_matches_scalar_reference(tr):
+    want = scalar_reference(tr, PENALTIES)
+    got = {
+        "geometric": outcome(lambda: time_average_age(tr, "geometric")),
+        "qform": outcome(lambda: time_average_age(tr, "qform")),
+        "hform": outcome(lambda: time_average_age(tr, "hform")),
+        "peak": outcome(lambda: peak_average_age(tr)),
+        **{k: outcome(lambda f=f: penalty_average(tr, f)) for k, f in PENALTIES.items()},
+    }
+    stats = outcome(lambda: compute_statistics(tr))
+    if stats is not TraceError and stats.n_effective:
+        got["max"] = stats.max_age
+    else:
+        got["max"] = max(a for _, a in sample_path(tr).breakpoints) / 1e9
+    for name, value in want.items():
+        if isinstance(value, type):
+            assert got[name] is value, name
+        else:
+            assert got[name] == pytest.approx(value, rel=1e-12, abs=0.0), name

@@ -1,6 +1,9 @@
+import time
+
+import numpy as np
 import pytest
 
-from aoikit import UpdateRecord
+from aoikit import Trace, UpdateRecord
 from aoikit.net import BUSY, PANICKED, RELAXED, RegionConfig, classify_regions
 
 NS = 10**9
@@ -86,3 +89,21 @@ class TestClassify:
         recs = stream((range(100), None))
         report = classify_regions(list(reversed(recs)))
         assert report.collapsed() == [RELAXED]
+
+    def test_trace_input_matches_records(self):
+        clean = (range(100), None)
+        lossy = ([i for i in range(100) if (i % 20) >= 5], 50)
+        recs = stream(clean, lossy, clean)
+        trace = Trace(records=recs, observe_end_ns=recs[-1].recv_ns)
+        assert classify_regions(trace) == classify_regions(recs)
+
+    def test_outlier_timestamp_adds_one_window(self):
+        # one corrupt stamp 1e7 s after the rest: windows are cut only where
+        # records are, so this costs one label, not 1e7 empty windows
+        recv = np.append(np.arange(100) * 10 * MS, 10**16)
+        trace = Trace(seq=np.arange(101), gen_ns=recv - 5 * MS, recv_ns=recv, observe_end_ns=10**16)
+        t0 = time.perf_counter()
+        report = classify_regions(trace)
+        assert time.perf_counter() - t0 < 1.0
+        assert len(report.labels) == 2
+        assert (report.labels[1].start_seq, report.labels[1].end_seq) == (100, 100)

@@ -1,5 +1,7 @@
+import dataclasses
 import io
 
+import numpy as np
 import pytest
 
 from aoikit import (
@@ -88,6 +90,97 @@ class TestCsvRoundTrip:
     def test_bad_header_rejected(self):
         with pytest.raises(TraceError, match="header"):
             read_trace_csv(io.StringIO("a,b,c\n"))
+
+
+def parse(text):
+    return read_trace_csv(io.StringIO(text))
+
+
+def rows(trace):
+    return [(r.seq, r.gen_ns, r.recv_ns) for r in trace.records]
+
+
+class TestBulkParse:
+    def test_blank_and_comment_lines_in_body(self):
+        tr = parse("seq,gen_ns,recv_ns\n0,1,2\n\n   \n# a note\n  # indented note\n1,3,4\n\n")
+        assert rows(tr) == [(0, 1, 2), (1, 3, 4)]
+
+    def test_metadata_honoured_anywhere(self):
+        text = (
+            "# initial_age_ns=7\n\nseq,gen_ns,recv_ns\n0,1,2\n"
+            "# observe_end_ns = 50\n1,3,4\n#observe_start_ns=1\n# unknown_key=x\n"
+        )
+        tr = parse(text)
+        assert (tr.initial_age_ns, tr.observe_start_ns, tr.observe_end_ns) == (7, 1, 50)
+        assert rows(tr) == [(0, 1, 2), (1, 3, 4)]
+
+    def test_bad_metadata_in_body_carries_line_number(self):
+        with pytest.raises(TraceError, match="line 4: bad metadata"):
+            parse("seq,gen_ns,recv_ns\n0,1,2\n\n# observe_end_ns=soon\n")
+
+    def test_whitespace_and_plus_sign(self):
+        tr = parse("  seq,gen_ns,recv_ns  \n +0 ,\t1, +2\t\n\t1,+3 ,4  \n")
+        assert rows(tr) == [(0, 1, 2), (1, 3, 4)]
+
+    def test_rows_sorted_by_recv_then_seq(self):
+        tr = parse("seq,gen_ns,recv_ns\n5,3,9\n2,1,4\n1,0,4\n")
+        assert rows(tr) == [(1, 0, 4), (2, 1, 4), (5, 3, 9)]
+
+    def test_int64_extremes_accepted(self):
+        tr = parse(f"seq,gen_ns,recv_ns\n0,{-(2**63)},{2**63 - 1}\n")
+        assert rows(tr) == [(0, -(2**63), 2**63 - 1)]
+
+    @pytest.mark.parametrize("row, fields", [("1,2", 2), ("1,2,3,4", 4)])
+    def test_wrong_field_count_in_mixed_body(self, row, fields):
+        with pytest.raises(TraceError, match=f"line 4: expected 3 fields, got {fields}"):
+            parse(f"seq,gen_ns,recv_ns\n0,1,2\n\n{row}\n5,6,7\n")
+
+    @pytest.mark.parametrize("row, fields", [("1,2", 2), ("1,2,3,4", 4)])
+    def test_wrong_field_count_in_uniform_body(self, row, fields):
+        # a body of uniform width loads in bulk; its width is still checked
+        with pytest.raises(TraceError, match=f"line 3: expected 3 fields, got {fields}"):
+            parse(f"# initial_age_ns=0\nseq,gen_ns,recv_ns\n{row}\n{row}\n")
+
+    def test_non_integer_deep_in_body(self):
+        body = "".join(f"{i},{i},{i}\n" for i in range(99_998))
+        with pytest.raises(TraceError, match="line 100000: .*'99998,1.5,99998'"):
+            parse("seq,gen_ns,recv_ns\n" + body + "99998,1.5,99998\n1,1,1\n")
+
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 10**30])
+    def test_value_outside_int64(self, value):
+        with pytest.raises(TraceError, match="line 3: .*int64"):
+            parse(f"seq,gen_ns,recv_ns\n0,1,2\n1,{value},3\n")
+
+    @pytest.mark.parametrize("row", ["1,2,3 # note", "1,,3", "1,2,0x10", "1,2,1_000"])
+    def test_rejected_fields(self, row):
+        with pytest.raises(TraceError, match="line 2"):
+            parse(f"seq,gen_ns,recv_ns\n{row}\n")
+
+
+class TestColumns:
+    def test_records_view_round_trip(self):
+        tr = make([(0, 1), (2, 3)], initial_age=1.0, observe_start=0)
+        again = Trace(records=tr.records, initial_age_ns=tr.initial_age_ns,
+                      observe_start_ns=tr.observe_start_ns, observe_end_ns=tr.observe_end_ns)
+        assert again == tr
+        assert tr.gen_ns.dtype == np.int64 and tr.seq.tolist() == [0, 1]
+
+    def test_replace_keeps_columns(self):
+        tr = make([(0, 1), (2, 3)], initial_age=1.0, observe_start=0)
+        wider = dataclasses.replace(tr, observe_end_ns=10**10)
+        assert wider.observe_end_ns == 10**10
+        assert wider.records == tr.records and wider != tr
+
+    def test_columns_read_only(self):
+        gen = np.array([0, 5])
+        tr = Trace(seq=[0, 1], gen_ns=gen, recv_ns=[1, 6], observe_end_ns=6)
+        with pytest.raises(ValueError):
+            tr.gen_ns[0] = 3
+        assert gen.flags.writeable  # the caller's array is left as it was
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(TraceError):
+            Trace(seq=[0], gen_ns=[0, 1], recv_ns=[1, 2], observe_end_ns=2)
 
 
 class TestFromRecords:

@@ -82,6 +82,21 @@ class TestMalformed:
         with pytest.raises(WireError, match="ptype"):
             decode(bytes(data))
 
+    @pytest.mark.parametrize("seq, gen", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64)])
+    def test_update_field_out_of_u64(self, seq, gen):
+        with pytest.raises(WireError, match="u64"):
+            encode_update(seq, gen)
+
+    @pytest.mark.parametrize("seq, gen", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64)])
+    def test_probe_field_out_of_u64(self, seq, gen):
+        with pytest.raises(WireError, match="u64"):
+            encode_probe(seq, gen)
+
+    @pytest.mark.parametrize("seq, gen, refl", [(-1, 0, 0), (0, 2**64, 0), (0, 0, -1), (0, 0, 2**64)])
+    def test_probe_echo_field_out_of_u64(self, seq, gen, refl):
+        with pytest.raises(WireError, match="u64"):
+            encode_probe_echo(seq, gen, refl)
+
     def test_payload_bounds(self):
         with pytest.raises(WireError):
             encode_update(0, 0, payload_size=HEADER_SIZE - 1)
