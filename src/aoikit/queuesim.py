@@ -1,20 +1,30 @@
 """Single-server FCFS queue simulator producing synthetic update traces.
 
 Arrival-driven formulation: for a work-conserving FCFS single server the
-departure of admitted packet j is r_j = max(a_j, r_{j-1}) + S_j, so no event
-calendar is needed. Finite buffers tail-drop: an arrival finding the waiting
-room full is discarded but still consumes a sequence number, producing seq
-gaps in the trace.
+departure of admitted packet j is d_j = max(a_j, d_{j-1}) + s_j (Lindley's
+recurrence), so no event calendar is needed.
 
-Simulation time is unitless; traces are emitted with one time unit mapped to
-one second (integer nanoseconds underneath).
+Simulation time is unitless; one time unit maps to one second. Interarrival
+and service times are drawn as floats, then arrival instants (the cumulative
+sum) and service times are rounded once to int64 nanoseconds, and every
+departure is computed exactly in integers from those:
+
+- Unbounded buffer: with C_j the cumulative service, d_j = C_j +
+  max_{k<=j}(a_k - C_{k-1}), one ``np.maximum.accumulate`` scan.
+- Finite buffer (tail drop): an arrival finding the waiting room full is
+  discarded but still consumes a sequence number, producing seq gaps in the
+  trace. With room for cap waiting packets plus the one in service, an
+  arrival at t is dropped iff the departure of the (cap+1)-th most recently
+  admitted packet is later than t. A departure at exactly t has freed its
+  slot, so an arrival that ties a departure is admitted. Drops change later
+  departures, so this path is a loop over integer chunks.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,6 +37,11 @@ from .trace import NS_PER_S, Trace
 POISSON = "poisson"
 DETERMINISTIC = "deterministic"
 EXPONENTIAL = "exponential"
+
+_CHUNK = 1 << 16  # arrivals per Python-int chunk of the tail-drop loop
+# a one-ppm margin below 2**63 covers rounding the float horizon and each
+# service time to whole ns (for fewer than 2**32 events)
+_MAX_HORIZON_NS = 2.0**63 * (1 - 2.0**-20)
 
 
 @dataclass(frozen=True)
@@ -49,6 +64,11 @@ class SimConfig:
             raise ValueError(f"unknown service process {self.service!r}")
         if not 0 <= self.warmup_fraction < 1:
             raise ValueError("warmup_fraction must be in [0, 1)")
+        # operator.index: a non-integral count is a TypeError, not a bad index later
+        if operator.index(self.n_events) < 0:
+            raise ValueError(f"n_events must be >= 0, got {self.n_events}")
+        if self.buffer_capacity is not None and operator.index(self.buffer_capacity) < 0:
+            raise ValueError(f"buffer_capacity must be >= 0 or None, got {self.buffer_capacity}")
 
     @property
     def load(self) -> float:
@@ -75,6 +95,40 @@ def _variates(kind: str, rate: float, n: int, rng: np.random.Generator) -> np.nd
     return np.full(n, 1.0 / rate)
 
 
+def fcfs_departures(
+    arr_ns: np.ndarray, svc_ns: np.ndarray, buffer_capacity: Optional[int] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact FCFS departures in integer ns.
+
+    ``arr_ns`` (int64) holds non-decreasing, non-negative arrival instants
+    and ``svc_ns`` (int64) the service time each arrival would receive.
+    Returns the indices of the admitted arrivals and their departure
+    instants. ``buffer_capacity`` counts waiting slots; None is unbounded.
+    """
+    if buffer_capacity is None:
+        done = np.cumsum(svc_ns)  # C_j
+        departures = done + np.maximum.accumulate(arr_ns - (done - svc_ns))
+        return np.arange(len(arr_ns), dtype=np.int64), departures
+    k = buffer_capacity + 1  # waiting room + server
+    deps = [-1] * k  # the last k admitted departures, then this chunk's
+    last = -1
+    dropped: list[int] = []
+    parts = [np.empty(0, dtype=np.int64)]
+    for lo in range(0, len(arr_ns), _CHUNK):
+        hi = lo + _CHUNK
+        for i, t, s in zip(range(lo, hi), arr_ns[lo:hi].tolist(), svc_ns[lo:hi].tolist()):
+            if deps[-k] > t:
+                dropped.append(i)
+            else:
+                last = (t if t > last else last) + s
+                deps.append(last)
+        parts.append(np.array(deps[k:], dtype=np.int64))
+        deps = deps[-k:]
+    keep = np.ones(len(arr_ns), dtype=bool)
+    keep[dropped] = False
+    return np.flatnonzero(keep), np.concatenate(parts)
+
+
 def simulate_queue(config: SimConfig, rng: np.random.Generator | None = None) -> SimResult:
     """Run one simulation: gen_time = arrival instant, recv_time = departure.
 
@@ -87,38 +141,23 @@ def simulate_queue(config: SimConfig, rng: np.random.Generator | None = None) ->
     n = config.n_events
     inter = _variates(config.arrival, config.arrival_rate, n, rng)
     svc = _variates(config.service, config.service_rate, n, rng)
-    cap = config.buffer_capacity
-    max_in_system = None if cap is None else cap + 1  # waiting room + server
-
     arrivals = np.cumsum(inter)
-    in_system: deque[float] = deque()  # departure times of admitted packets
-    last_dep = 0.0
-    admitted: list[int] = []
-    departures: list[float] = []
-    dropped = 0
-    for seq, (t, s) in enumerate(zip(arrivals.tolist(), svc.tolist())):
-        while in_system and in_system[0] <= t:
-            in_system.popleft()
-        if max_in_system is not None and len(in_system) >= max_in_system:
-            dropped += 1
-            continue
-        dep = max(t, last_dep) + s
-        in_system.append(dep)
-        last_dep = dep
-        admitted.append(seq)
-        departures.append(dep)
-
+    # the last departure is at most the last arrival plus all service
+    if n and not float(arrivals[-1] + svc.sum()) * NS_PER_S < _MAX_HORIZON_NS:
+        raise ValueError("simulated horizon exceeds the int64 nanosecond range")
     # np.rint matches s_to_ns's round() bit for bit: both round half to even
-    seq = np.array(admitted, dtype=np.int64)
-    gen_ns = np.rint(arrivals[seq] * NS_PER_S).astype(np.int64)
-    recv_ns = np.rint(np.array(departures) * NS_PER_S).astype(np.int64)
+    arr_ns = np.rint(arrivals * NS_PER_S).astype(np.int64)
+    seq, recv_ns = fcfs_departures(arr_ns, np.rint(svc * NS_PER_S).astype(np.int64),
+                                   config.buffer_capacity)
+    n_dropped = n - len(seq)
     skip = math.floor(config.warmup_fraction * len(seq))
-    seq, gen_ns, recv_ns = seq[skip:], gen_ns[skip:], recv_ns[skip:]
+    seq, recv_ns = seq[skip:], recv_ns[skip:]
+    gen_ns = arr_ns[seq]
     return SimResult(
         trace=Trace.from_columns(seq, gen_ns, recv_ns),
         n_generated=n,
-        n_dropped=dropped,
-        unstable=cap is None and config.load >= 1.0,
+        n_dropped=n_dropped,
+        unstable=config.buffer_capacity is None and config.load >= 1.0,
         mean_delay=float(np.mean((recv_ns - gen_ns) / 1e9)) if len(seq) else float("nan"),
     )
 
