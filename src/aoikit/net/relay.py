@@ -4,11 +4,21 @@ UDP mode tail-drops arrivals beyond the queue capacity, which reproduces a
 congested best-effort hop. TCP mode never drops: when the queue is full the
 relay stops reading its ingress socket, so flow control pushes back on the
 sender instead, matching reliable-transport behavior.
+
+The queue is kept as a schedule. Each admitted packet gets its departure from
+its arrival alone, ``d = max(arrival, previous d) + 1/service_rate``, and the
+egress thread sends it at ``d``. Whether the buffer is full is decided from
+those departures, not from how far the egress thread has got, and on Linux a
+UDP arrival is the kernel's receive stamp, not the moment the ingress thread
+read it. So a descheduled relay thread delays packets but does not turn
+isolated drops into runs.
 """
 
 from __future__ import annotations
 
 import socket
+import struct
+import sys
 import threading
 import time
 from collections import deque
@@ -17,6 +27,11 @@ from typing import Optional
 
 from .sender import UDP, listen_socket
 from .wire import FrameReader, frame
+
+# Linux socket option for nanosecond kernel receive stamps (a struct timespec
+# in ancillary data); the socket module does not name it before Python 3.12.
+SO_TIMESTAMPNS = getattr(socket, "SO_TIMESTAMPNS", 35)
+_TIMESPEC = struct.Struct("@ll")
 
 
 @dataclass
@@ -43,14 +58,26 @@ class Relay:
         self.proto = proto
         self.forward_addr = forward_addr
         self.interval = 1.0 / service_rate
+        self._interval_ns = round(1e9 / service_rate)
         self.capacity = queue_capacity
         self.log = RelayLog()
-        self._queue: deque[tuple[float, bytes]] = deque()  # (enqueue time, record)
+        # departures of the last capacity+1 admitted packets (ingress only):
+        # the buffer is full while the oldest of them is still ahead
+        self._departures: deque[int] = deque(maxlen=1 if queue_capacity is None else queue_capacity + 1)
+        # admitted packets awaiting egress: (arrival ns, departure ns, record)
+        self._queue: deque[tuple[int, int, bytes]] = deque()
         self._lock = threading.Lock()
         self._running = False
         self._threads: list[threading.Thread] = []
         self._in = listen_socket(proto, listen_addr)
         self.listen_addr = self._in.getsockname()
+        self._kernel_stamps = False
+        if proto == UDP and sys.platform.startswith("linux"):
+            try:
+                self._in.setsockopt(socket.SOL_SOCKET, SO_TIMESTAMPNS, 1)
+                self._kernel_stamps = True
+            except OSError:
+                pass
 
     def start(self) -> "Relay":
         self._running = True
@@ -84,32 +111,55 @@ class Relay:
 
     # -- ingress -------------------------------------------------------------
 
-    def _enqueue(self, record: bytes) -> bool:
+    def _full(self, arrival_ns: int) -> bool:
+        """Whether an arrival at arrival_ns finds every slot taken: capacity
+        packets wait behind the one in service. A packet departing at the
+        arrival instant has left."""
+        deps = self._departures
+        return self.capacity is not None and len(deps) == deps.maxlen and deps[0] > arrival_ns
+
+    def _admit(self, record: bytes, arrival_ns: int) -> None:
+        deps = self._departures
+        departure = max(arrival_ns, deps[-1] if deps else arrival_ns) + self._interval_ns
+        deps.append(departure)
         with self._lock:
-            if self.capacity is not None and len(self._queue) >= self.capacity:
-                self.log.dropped += 1
-                return False
-            self._queue.append((time.monotonic(), record))
-            return True
+            self._queue.append((arrival_ns, departure, record))
+
+    def _enqueue(self, record: bytes, arrival_ns: int) -> bool:
+        if self._full(arrival_ns):
+            self.log.dropped += 1
+            return False
+        self._admit(record, arrival_ns)
+        return True
 
     def _enqueue_blocking(self, record: bytes) -> None:
         """Wait for queue space instead of dropping (reliable-transport path)."""
         while self._running:
-            with self._lock:
-                if self.capacity is None or len(self._queue) < self.capacity:
-                    self._queue.append((time.monotonic(), record))
-                    return
+            now = time.monotonic_ns()
+            if not self._full(now):
+                self._admit(record, now)
+                return
             time.sleep(0.0005)
 
     def _ingress_udp(self) -> None:
+        space = socket.CMSG_SPACE(_TIMESPEC.size)
         while self._running:
             try:
-                data, _ = self._in.recvfrom(65535)
+                if self._kernel_stamps:
+                    data, anc, _, _ = self._in.recvmsg(65535, space)
+                else:
+                    data, anc = self._in.recv(65535), ()
             except socket.timeout:
                 continue
             except OSError:
                 break
-            self._enqueue(data)
+            arrival = time.monotonic_ns()
+            for level, kind, raw in anc:
+                if level == socket.SOL_SOCKET and kind == SO_TIMESTAMPNS:
+                    sec, nsec = _TIMESPEC.unpack(raw)
+                    # wall-clock kernel stamp -> monotonic timebase, at read time
+                    arrival = sec * 1_000_000_000 + nsec + arrival - time.time_ns()
+            self._enqueue(data, arrival)
 
     def _ingress_tcp(self) -> None:
         while self._running:
@@ -123,10 +173,7 @@ class Relay:
             reader = FrameReader()
             with conn:
                 while self._running:
-                    if (
-                        self.capacity is not None
-                        and self.queue_len() >= self.capacity
-                    ):
+                    if self._full(time.monotonic_ns()):
                         # full queue: stop reading; TCP flow control blocks
                         # the sender instead of dropping
                         time.sleep(0.0005)
@@ -147,9 +194,8 @@ class Relay:
     # -- egress --------------------------------------------------------------
 
     def _serve(self, send) -> None:
-        """Drain the queue at the service rate: the packet at the head leaves
-        one service interval after the server becomes free."""
-        server_free = time.monotonic()
+        """Send each admitted packet at its scheduled departure; a late
+        egress thread sends what is due back to back."""
         while True:
             with self._lock:
                 item = self._queue.popleft() if self._queue else None
@@ -158,20 +204,18 @@ class Relay:
                     return
                 time.sleep(0.0005)
                 continue
-            enq, record = item
-            departure = max(server_free, enq) + self.interval
+            arrival, departure, record = item
             while True:
-                now = time.monotonic()
-                if now >= departure:
+                wait_ns = departure - time.monotonic_ns()
+                if wait_ns <= 0:
                     break
-                time.sleep(min(departure - now, 0.0005))
+                time.sleep(min(wait_ns / 1e9, 0.0005))
             try:
                 send(record)
             except OSError:
                 return
             self.log.forwarded += 1
-            self.log.queue_delays_s.append(departure - enq)
-            server_free = departure
+            self.log.queue_delays_s.append((departure - arrival) / 1e9)
 
     def _egress_udp(self) -> None:
         out = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)

@@ -3,7 +3,11 @@
 Pacing follows an absolute per-step schedule: after an oversleep the sender
 catches up instead of drifting, so the achieved rate tracks the target until
 the host (or TCP backpressure) becomes the bottleneck, which is reported as a
-shortfall.
+shortfall. Catch-up is shaped (GCRA): missed packets leave at CATCH_UP times
+the step's rate, and only a lag of one packet or JITTER_S, whichever is more,
+is made up back to back. The shaper's credit runs on the decision clock, so
+sleep overshoot does not slow it. Sent back to back, the packets missed during
+a stall would reach a full bottleneck as one burst and be lost as one run.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from .wire import MIN_PAYLOAD, encode_update, frame
 
 UDP = "udp"
 TCP = "tcp"
+CATCH_UP = 1.5  # rate bound while behind schedule, as a multiple of the step's rate
+JITTER_S = 0.0005  # lag that may still be made up back to back
 
 
 def listen_socket(proto: str, bind_addr: tuple[str, int]) -> socket.socket:
@@ -135,17 +141,21 @@ def run_sender(
             )
             log.steps.append(stats)
             interval = 1.0 / step.rate
+            min_gap = interval / CATCH_UP
+            tolerance = max(min_gap, JITTER_S)
             total = max(1, round(step.rate * step.duration_s))
             t0 = time.monotonic()
-            t_next = t0
+            t_next = t0  # the next packet's slot
+            t_tat = t0  # the shaper's theoretical send time
             deadline = t0 + step.duration_s
             try:
                 while stats.sent < total:
                     now = time.monotonic()
                     if now >= deadline:
                         break
-                    if now < t_next:
-                        time.sleep(min(t_next - now, 0.0005))
+                    wake = max(t_next, t_tat - tolerance)
+                    if now < wake:
+                        time.sleep(min(wake - now, 0.0005))
                         continue
                     data = encode_update(seq, clock.now_ns(), payload_size)
                     if proto == UDP:
@@ -155,6 +165,7 @@ def run_sender(
                     seq += 1
                     stats.sent += 1
                     t_next += interval
+                    t_tat = max(t_tat, now) + min_gap
             except OSError as exc:
                 stats.error = str(exc)
             elapsed = max(time.monotonic() - t0, 1e-9)

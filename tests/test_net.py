@@ -3,6 +3,7 @@
 import socket
 import time
 
+import numpy as np
 import pytest
 
 from aoikit import Trace
@@ -20,6 +21,8 @@ from aoikit.net import (
     parse_rate_plan,
     run_sender,
 )
+from aoikit.net import sender
+from aoikit.queuesim import fcfs_departures
 
 LOCAL = ("127.0.0.1", 0)
 MS = 10**6
@@ -73,6 +76,43 @@ class TestSenderReceiver:
         assert stats.peak_age >= stats.avg_age
 
 
+class JumpingTime:
+    """Stands in for the time module inside the sender and for its clock:
+    from the (at+1)-th monotonic() reading on, time reads jump_s ahead, as if
+    the thread had been descheduled that long."""
+
+    sleep = staticmethod(time.sleep)
+
+    def __init__(self, at: int, jump_s: float):
+        self.at, self.jump_s, self.calls = at, jump_s, 0
+
+    def monotonic(self) -> float:
+        self.calls += 1
+        return time.monotonic() + (self.jump_s if self.calls > self.at else 0.0)
+
+    def now_ns(self) -> int:
+        jump = self.jump_s if self.calls > self.at else 0.0
+        return round((time.monotonic() + jump) * 1e9)
+
+
+def test_catch_up_after_a_stall_is_paced(monkeypatch):
+    # a 50 ms stall at 200/s misses 10 slots: they are made up within the
+    # step at CATCH_UP (1.5) times the rate, 3.3 ms apart, with at most two
+    # back to back (one packet of lag is tolerated at this rate)
+    fake = JumpingTime(at=100, jump_s=0.05)
+    monkeypatch.setattr(sender, "time", fake)
+    with Receiver(LOCAL, proto="udp") as rx:
+        log = run_sender(rx.local_addr, "udp", [RateStep(200.0, 0.5)], clock=fake)
+        wait_for(lambda: rx.counters.received >= log.total_sent)
+        gen = [r.gen_ns for r in sorted(rx.records(), key=lambda r: r.seq)]
+    assert log.total_sent >= 95  # without catch-up: 90
+    # any three consecutive packets span at least 3.3 ms (checked with 0.8 ms
+    # of slack); back to back, the ten made-up slots would span microseconds
+    gen = np.array(gen)
+    assert np.diff(gen).max() >= 50 * MS
+    assert (gen[2:] - gen[:-2]).min() > 2.5 * MS
+
+
 class TestReceiverRobustness:
     def test_malformed_counted(self):
         with Receiver(LOCAL, proto="udp") as rx:
@@ -124,6 +164,25 @@ class TestRelay:
             assert max(relay.log.queue_delays_s) > 0.05
             seqs = sorted(r.seq for r in rx.records())
         assert any(b - a > 1 for a, b in zip(seqs, seqs[1:]))
+
+    @pytest.mark.parametrize("cap", [0, 1, 10, None])
+    def test_admission_follows_arrival_instants(self, cap):
+        # drops and departures follow from the arrival instants alone, by the
+        # simulator's tail-drop rule (a departure tying an arrival has left);
+        # the relay is never started, so no egress progress is involved
+        rng = np.random.default_rng(7)
+        arr = np.cumsum(rng.integers(0, 4, 3000)) * (MS // 2)
+        relay = Relay(LOCAL, LOCAL, service_rate=1000.0, queue_capacity=cap)
+        try:
+            admitted = [relay._enqueue(b"x", t) for t in arr.tolist()]
+            departures = [d for _, d, _ in relay._queue]
+        finally:
+            relay.stop()
+        idx, deps = fcfs_departures(arr, np.full(len(arr), MS), cap)
+        assert np.flatnonzero(admitted).tolist() == idx.tolist()
+        assert departures == deps.tolist()
+        assert relay.log.dropped == len(arr) - len(idx)
+        assert (cap is None) == (relay.log.dropped == 0)
 
     def test_tcp_backpressure_no_gaps(self):
         with Receiver(LOCAL, proto="tcp") as rx:
