@@ -125,6 +125,10 @@ def _h_terms(t: _Teeth) -> np.ndarray:
     return d * t.beta + d * d / 2.0
 
 
+def _hform(t: _Teeth) -> float:
+    return float(np.sum(_h_terms(t.require()))) / t.horizon
+
+
 @dataclass(frozen=True)
 class AreaDecomposition:
     """Per-interval building blocks of the age area on [r_0, r_N], as float64
@@ -186,7 +190,7 @@ def time_average_age(trace: Trace, method: str = GEOMETRIC) -> float:
     if method == GEOMETRIC:
         return _geometric(trace, t)[0]
     if method == HFORM:
-        return float(np.sum(_h_terms(t.require()))) / t.horizon
+        return _hform(t)
     return _decompose(t).q_area / t.horizon
 
 
@@ -194,6 +198,13 @@ def peak_average_age(trace: Trace) -> float:
     """Mean of the sawtooth values immediately before each downward jump:
     (1/N) sum_i (r_i - s_{i-1}), in seconds."""
     return float(np.mean(_teeth(trace).require().theta))
+
+
+def hform_and_peak_age(trace: Trace) -> tuple[float, float]:
+    """``(time_average_age(trace, HFORM), peak_average_age(trace))`` from one
+    pass over the effective updates."""
+    t = _teeth(trace)
+    return _hform(t), float(np.mean(t.theta))
 
 
 def _penalty_average(t: _Teeth, f: PenaltyFunction) -> float:

@@ -23,8 +23,9 @@ from .regions import (
     classify_regions,
 )
 from .relay import Relay, RelayLog
-from .sender import TCP, UDP, RateStep, SendLog, StepStats, parse_rate_plan, run_sender
+from .sender import RateStep, SendLog, StepStats, parse_rate_plan, run_sender
 from .session import SweepOutcome, SweepStep, run_measured_sweep
+from .transport import TCP, UDP
 from .wire import (
     ECHO_SIZE,
     HEADER_SIZE,

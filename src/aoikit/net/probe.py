@@ -9,12 +9,12 @@ alternative full-RTT subtraction is selectable.
 from __future__ import annotations
 
 import socket
-import threading
 import time
 from dataclasses import dataclass
 
 from ..syncbias import ClockBiasModel
 from .clock import DEFAULT_CLOCK, SessionClock
+from .transport import UDP, Service, connect, intake, listen_socket
 from .wire import (
     PT_PROBE,
     PT_PROBE_ECHO,
@@ -58,51 +58,26 @@ def combine_stamps(t_send_ns: int, t_reflect_ns: int, t_arrive_ns: int, mode: st
     return bias, rtt
 
 
-class Reflector:
+class Reflector(Service):
     """UDP probe echo service. ``bias_ns`` injects an artificial clock offset
     and ``delay_s`` a symmetric processing delay; both exist so controlled
     tests have a known ground truth."""
 
+    loops = ("_reflect",)
+
     def __init__(self, bind_addr: tuple[str, int], bias_ns: int = 0, delay_s: float = 0.0,
                  clock: SessionClock | None = None):
+        super().__init__(listen_socket(UDP, bind_addr))
         self.clock = clock if clock is not None else DEFAULT_CLOCK
         self.bias_ns = bias_ns
         self.delay_s = delay_s
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._sock.bind(bind_addr)
-        self._sock.settimeout(0.2)
         self.local_addr = self._sock.getsockname()
-        self._running = False
-        self._thread: threading.Thread | None = None
 
-    def start(self) -> "Reflector":
-        self._running = True
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-        return self
+    def _stamp(self) -> int:
+        return self.clock.now_ns() + self.bias_ns
 
-    def stop(self) -> None:
-        self._running = False
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        self._sock.close()
-
-    def __enter__(self) -> "Reflector":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def _run(self) -> None:
-        while self._running:
-            try:
-                data, peer = self._sock.recvfrom(65535)
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            recv_ns = self.clock.now_ns() + self.bias_ns
+    def _reflect(self) -> None:
+        for data, recv_ns, peer in intake(self._sock, UDP, self._stamp, self.running):
             try:
                 pkt = decode(data)
             except WireError:
@@ -131,16 +106,15 @@ def estimate_offset(
         raise ValueError("probe_count must be >= 1")
     if clock is None:
         clock = DEFAULT_CLOCK
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock, send = connect(UDP, addr)
     sock.settimeout(timeout_s)
-    sock.connect(addr)
     best: tuple[int, int] | None = None  # (rtt_ns, bias_ns)
     used = 0
     try:
         for k in range(probe_count):
             t_send = clock.now_ns()
             try:
-                sock.send(encode_probe(k, t_send))
+                send(encode_probe(k, t_send))
             except OSError:
                 continue
             while True:

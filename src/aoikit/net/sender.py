@@ -12,35 +12,16 @@ a stall would reach a full bottleneck as one burst and be lost as one run.
 
 from __future__ import annotations
 
-import socket
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .clock import DEFAULT_CLOCK, SessionClock
-from .wire import MIN_PAYLOAD, encode_update, frame
+from .transport import connect
+from .wire import MIN_PAYLOAD, encode_update
 
-UDP = "udp"
-TCP = "tcp"
 CATCH_UP = 1.5  # rate bound while behind schedule, as a multiple of the step's rate
 JITTER_S = 0.0005  # lag that may still be made up back to back
-
-
-def listen_socket(proto: str, bind_addr: tuple[str, int]) -> socket.socket:
-    """Bound intake socket with a 0.2 s timeout: UDP with a large receive
-    buffer, or a listening TCP socket."""
-    if proto not in (UDP, TCP):
-        raise ValueError(f"unknown proto {proto!r}")
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM if proto == UDP else socket.SOCK_STREAM)
-    if proto == UDP:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 23)
-    else:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    sock.bind(bind_addr)
-    if proto == TCP:
-        sock.listen(1)
-    sock.settimeout(0.2)
-    return sock
 
 
 @dataclass(frozen=True)
@@ -107,31 +88,18 @@ def run_sender(
     if clock is None:
         clock = DEFAULT_CLOCK
     log = SendLog(proto=proto, payload_size=payload_size)
-    if proto == UDP:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1 << 22)
-        sock.connect(addr)
-    elif proto == TCP:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.settimeout(connect_timeout)
-        try:
-            sock.connect(addr)
-        except OSError as exc:
-            sock.close()
-            log.steps.append(
-                StepStats(
-                    target_rate=plan[0].rate if plan else 0.0,
-                    duration_s=0.0,
-                    first_seq=0,
-                    error=f"connect failed: {exc}",
-                )
+    try:
+        sock, send = connect(proto, addr, connect_timeout)
+    except OSError as exc:
+        log.steps.append(
+            StepStats(
+                target_rate=plan[0].rate if plan else 0.0,
+                duration_s=0.0,
+                first_seq=0,
+                error=f"connect failed: {exc}",
             )
-            return log
-        sock.settimeout(None)
-        # one update per segment at low rates: disable small-write coalescing
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    else:
-        raise ValueError(f"unknown proto {proto!r}")
+        )
+        return log
 
     seq = 0
     try:
@@ -157,11 +125,7 @@ def run_sender(
                     if now < wake:
                         time.sleep(min(wake - now, 0.0005))
                         continue
-                    data = encode_update(seq, clock.now_ns(), payload_size)
-                    if proto == UDP:
-                        sock.send(data)
-                    else:
-                        sock.sendall(frame(data))
+                    send(encode_update(seq, clock.now_ns(), payload_size))
                     seq += 1
                     stats.sent += 1
                     t_next += interval

@@ -13,12 +13,15 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..agestats import HFORM, peak_average_age, time_average_age
-from ..trace import Trace, UpdateRecord
+import numpy as np
+
+from ..agestats import hform_and_peak_age
+from ..trace import Trace, UpdateRecord, record_columns
 from .receiver import Receiver
 from .regions import RegionConfig, RegionReport, classify_regions
 from .relay import Relay
-from .sender import TCP, UDP, RateStep, SendLog, run_sender
+from .sender import RateStep, SendLog, run_sender
+from .transport import TCP, UDP
 from .wire import MIN_PAYLOAD
 
 
@@ -63,7 +66,7 @@ def _wait_for_drain(receiver: Receiver, relay: Optional[Relay], timeout_s: float
     last_count = -1
     stable_since = time.monotonic()
     while time.monotonic() < deadline:
-        count = len(receiver.records())
+        count = receiver.counters.received
         if count != last_count or (relay is not None and not relay.drained()):
             last_count = count
             stable_since = time.monotonic()
@@ -72,16 +75,13 @@ def _wait_for_drain(receiver: Receiver, relay: Optional[Relay], timeout_s: float
         time.sleep(0.05)
 
 
-def _step_stats(step, records_by_seq: dict[int, UpdateRecord]) -> tuple[int, Optional[float], Optional[float]]:
-    recs = [
-        records_by_seq[s]
-        for s in range(step.first_seq, step.first_seq + step.sent)
-        if s in records_by_seq
-    ]
-    if len(recs) < 2:
-        return len(recs), None, None
-    trace = Trace.from_records(recs)
-    return len(recs), time_average_age(trace, HFORM), peak_average_age(trace)
+def _step_stats(step, seq: np.ndarray, gen: np.ndarray, recv: np.ndarray) -> tuple[int, Optional[float], Optional[float]]:
+    """(received, H-form average age, peak age) of one step's seqs; the
+    columns are sorted by seq."""
+    lo, hi = np.searchsorted(seq, [step.first_seq, step.first_seq + step.sent])
+    if hi - lo < 2:
+        return int(hi - lo), None, None
+    return int(hi - lo), *hform_and_peak_age(Trace.from_columns(seq[lo:hi], gen[lo:hi], recv[lo:hi]))
 
 
 def run_measured_sweep(
@@ -134,10 +134,12 @@ def run_measured_sweep(
     if records:
         regions = classify_regions(records, region_config)
 
-    by_seq = {r.seq: r for r in records}
+    seq, gen, recv = record_columns(records)
+    order = np.argsort(seq, kind="stable")
+    seq, gen, recv = seq[order], gen[order], recv[order]
     steps = []
     for st in send_log.steps:
-        received, avg_age, peak_age = _step_stats(st, by_seq)
+        received, avg_age, peak_age = _step_stats(st, seq, gen, recv)
         label = None
         if regions is not None and st.sent:
             votes = Counter(

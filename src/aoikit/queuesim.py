@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .agestats import HFORM, peak_average_age, penalty_average, time_average_age
+from .agestats import hform_and_peak_age, penalty_average
 from .penalty import PenaltyFunction
 from .syncbias import shift_reception
 from .trace import NS_PER_S, Trace
@@ -208,8 +208,9 @@ def load_sweep(base: SimConfig, rates: Sequence[float], seeds_per_point: int = 1
         for j in range(seeds_per_point):
             rng = np.random.default_rng(streams[i * seeds_per_point + j])
             res = simulate_queue(replace(base, arrival_rate=rate), rng=rng)
-            ages.append(time_average_age(res.trace, HFORM))
-            peaks.append(peak_average_age(res.trace))
+            age, peak = hform_and_peak_age(res.trace)
+            ages.append(age)
+            peaks.append(peak)
             losses.append(res.loss_fraction)
             delays.append(res.mean_delay)
         points.append(

@@ -21,6 +21,7 @@ from aoikit import (
     time_average_age,
 )
 
+from aoikit.agestats import hform_and_peak_age
 from conftest import integrate_age, integrate_penalty, random_trace
 
 GOLDEN = Trace.from_seconds(
@@ -180,6 +181,13 @@ class TestPeakAverageAge:
             [(10.0, 10.0), (10.05, 10.1)], initial_age=10.0, observe_start=0
         )
         assert peak_average_age(tr) < time_average_age(tr, "hform")
+
+    def test_one_pass_pair_is_bit_identical(self, rng):
+        for _ in range(50):
+            tr = random_trace(rng)
+            assert hform_and_peak_age(tr) == (time_average_age(tr, "hform"), peak_average_age(tr))
+        with pytest.raises(TraceError):
+            hform_and_peak_age(Trace.from_seconds([], observe_start=0, observe_end=1))
 
 
 class TestPenaltyAverage:

@@ -1,7 +1,9 @@
 """Loopback integration tests for the sender/receiver/relay/probe stack."""
 
 import socket
+import struct
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from aoikit.net import (
     parse_rate_plan,
     run_sender,
 )
-from aoikit.net import sender
+from aoikit.net import sender, transport
 from aoikit.queuesim import fcfs_departures
 
 LOCAL = ("127.0.0.1", 0)
@@ -196,6 +198,63 @@ class TestRelay:
             seqs = [r.seq for r in rx.records()]
         # reliable path: every sequence number arrives, in order
         assert seqs == list(range(log.total_sent))
+
+    def test_tcp_ingress_serves_senders_in_sequence(self):
+        # the ingress goes back to accept after a sender closes, or resets
+        # midway through a frame, so later senders are forwarded too
+        with Receiver(LOCAL, proto="tcp") as rx:
+            with Relay(LOCAL, rx.local_addr, service_rate=2000.0, proto="tcp") as relay:
+                first = run_sender(relay.listen_addr, "tcp", [RateStep(200.0, 0.3)])
+                reset = socket.create_connection(relay.listen_addr)
+                reset.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                reset.sendall(b"\x00")
+                reset.close()
+                second = run_sender(relay.listen_addr, "tcp", [RateStep(200.0, 0.3)])
+                sent = first.total_sent + second.total_sent
+                assert wait_for(lambda: rx.counters.received >= sent)
+            assert second.total_sent > 0
+            assert relay.log.forwarded == sent
+        assert rx.counters.received == sent
+
+
+class FakeDatagrams:
+    """A UDP socket that delivers the given (data, kernel wall-clock ns or
+    None) datagrams, then reports itself closed."""
+
+    def __init__(self, datagrams):
+        self.datagrams = list(datagrams)
+
+    def recvmsg(self, bufsize, ancbufsize):
+        if not self.datagrams:
+            raise OSError("closed")
+        data, kernel_ns = self.datagrams.pop(0)
+        anc = []
+        if kernel_ns is not None:
+            sec, nsec = divmod(kernel_ns, 10**9)
+            anc.append((socket.SOL_SOCKET, transport.SO_TIMESTAMPNS, struct.pack("@ll", sec, nsec)))
+        return data, anc, 0, ("127.0.0.1", 9)
+
+
+def test_kernel_stamp_is_never_early(monkeypatch):
+    # one true time advances by TICK on every read of either clock; the wall
+    # clock reads WALL ahead of the caller's. Time passing between the two
+    # reads that map a kernel stamp may make the stamp late, never early.
+    TICK, WALL = 1000, 1_700_000_000 * 10**9
+    true_ns = [0]
+
+    def read(offset):
+        true_ns[0] += TICK
+        return true_ns[0] + offset
+
+    monkeypatch.setattr(transport, "time", SimpleNamespace(time_ns=lambda: read(WALL)))
+    arrivals = [50, 7 * TICK, 9 * TICK + 1]  # true ns at which the kernel got each datagram
+    sock = FakeDatagrams([(b"x", WALL + a) for a in arrivals] + [(b"y", None)])
+    out = list(transport.intake(sock, "udp", lambda: read(0), lambda: True))
+    stamps = [stamp for _, stamp, _ in out]
+    assert [d for d, _, _ in out] == [b"x"] * 3 + [b"y"]
+    assert all(0 <= s - a <= TICK for s, a in zip(stamps, arrivals))
+    # without a kernel stamp the datagram is stamped when it is read
+    assert stamps[-1] == true_ns[0]
 
 
 class TestOffsetEstimation:
