@@ -185,7 +185,7 @@ def cmd_sweep(args, out_dir: str) -> int:
         queue_capacity=args.queue_cap,
         region_config=RegionConfig(window_s=args.window_s),
     )
-    rows = [s.to_row() for s in outcome.steps]
+    rows = [asdict(s) for s in outcome.steps]
     _write_csv(os.path.join(out_dir, "sweep.csv"), rows)
     with open(os.path.join(out_dir, "trace.csv"), "w") as fp:
         write_trace_csv(Trace.from_records(outcome.records), fp)
@@ -265,6 +265,8 @@ def cmd_measure(args, out_dir: str) -> int:
     ) as relay:
         time.sleep(args.duration_s)
         log = relay.log
+    if log.error is not None:
+        raise RuntimeError(f"relay failed: {log.error}")
     print(json.dumps({"forwarded": log.forwarded, "dropped": log.dropped}))
     return 0
 

@@ -9,7 +9,6 @@ alternative full-RTT subtraction is selectable.
 from __future__ import annotations
 
 import socket
-import time
 from dataclasses import dataclass
 
 from ..syncbias import ClockBiasModel
@@ -59,18 +58,15 @@ def combine_stamps(t_send_ns: int, t_reflect_ns: int, t_arrive_ns: int, mode: st
 
 
 class Reflector(Service):
-    """UDP probe echo service. ``bias_ns`` injects an artificial clock offset
-    and ``delay_s`` a symmetric processing delay; both exist so controlled
-    tests have a known ground truth."""
+    """UDP probe echo service. ``bias_ns`` injects an artificial clock offset,
+    so controlled tests have a known ground truth."""
 
     loops = ("_reflect",)
 
-    def __init__(self, bind_addr: tuple[str, int], bias_ns: int = 0, delay_s: float = 0.0,
-                 clock: SessionClock | None = None):
+    def __init__(self, bind_addr: tuple[str, int], bias_ns: int = 0, clock: SessionClock | None = None):
         super().__init__(listen_socket(UDP, bind_addr))
         self.clock = clock if clock is not None else DEFAULT_CLOCK
         self.bias_ns = bias_ns
-        self.delay_s = delay_s
         self.local_addr = self._sock.getsockname()
 
     def _stamp(self) -> int:
@@ -84,8 +80,6 @@ class Reflector(Service):
                 continue
             if pkt.ptype != PT_PROBE:
                 continue
-            if self.delay_s > 0:
-                time.sleep(self.delay_s)
             echo = encode_probe_echo(pkt.seq, pkt.gen_ns, recv_ns)
             try:
                 self._sock.sendto(echo, peer)

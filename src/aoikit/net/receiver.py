@@ -4,7 +4,10 @@ estimated clock offset, and accumulates an update trace."""
 from __future__ import annotations
 
 import threading
+from array import array
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..agestats import AgeStatistics, compute_statistics
 from ..trace import Trace, UpdateRecord
@@ -22,8 +25,10 @@ class ReceiverCounters:
 class Receiver(Service):
     """Background intake loop bound to a local endpoint.
 
-    Records are appended by the single intake thread; readers take a snapshot
-    under the same lock, so statistics reads are consistent.
+    Each update is appended as one (seq, gen_ns, recv_ns) row of an int64
+    buffer by the single intake thread; readers copy the buffer under the
+    same lock, so statistics reads are consistent. An update whose seq or
+    gen_ns (u64 on the wire) does not fit int64 counts as malformed.
     """
 
     loops = ("_intake",)
@@ -40,7 +45,7 @@ class Receiver(Service):
         self.offset_ns = offset_ns
         self.clock = clock if clock is not None else DEFAULT_CLOCK
         self.counters = ReceiverCounters()
-        self._records: list[UpdateRecord] = []
+        self._rows = array("q")
         self._lock = threading.Lock()
         self.local_addr = self._sock.getsockname()
 
@@ -54,19 +59,28 @@ class Receiver(Service):
             except WireError:
                 self.counters.malformed += 1
                 continue
-            if pkt.ptype == PT_UPDATE:
-                with self._lock:
-                    self._records.append(UpdateRecord(seq=pkt.seq, gen_ns=pkt.gen_ns, recv_ns=recv_ns))
-                    self.counters.received += 1
+            if pkt.ptype != PT_UPDATE:
+                continue
+            # checked first: array.extend keeps the items before one that overflows
+            if max(pkt.seq, pkt.gen_ns) >= 2**63:
+                self.counters.malformed += 1
+                continue
+            with self._lock:
+                self._rows.extend((pkt.seq, pkt.gen_ns, recv_ns))
+                self.counters.received += 1
 
     # -- snapshots ----------------------------------------------------------
 
-    def records(self) -> list[UpdateRecord]:
+    def _snapshot(self) -> array:
         with self._lock:
-            return list(self._records)
+            return self._rows[:]
+
+    def records(self) -> list[UpdateRecord]:
+        rows = iter(self._snapshot().tolist())
+        return list(map(UpdateRecord, rows, rows, rows))  # consecutive triples
 
     def trace(self) -> Trace:
-        return Trace.from_records(self.records())
+        return Trace.from_columns(*np.frombuffer(self._snapshot(), dtype=np.int64).reshape(-1, 3).T)
 
     def statistics(self) -> AgeStatistics:
         """Cumulative statistics of everything received so far."""

@@ -22,6 +22,7 @@ import socket
 import sys
 import threading
 import time
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
@@ -33,7 +34,8 @@ from .transport import SO_TIMESTAMPNS, UDP, Service, connect, intake, listen_soc
 class RelayLog:
     forwarded: int = 0
     dropped: int = 0
-    queue_delays_s: list[float] = field(default_factory=list)
+    queue_delays_s: array = field(default_factory=lambda: array("d"))
+    error: Optional[str] = None  # why forwarding stopped
 
 
 class Relay(Service):
@@ -69,12 +71,10 @@ class Relay(Service):
             with contextlib.suppress(OSError):
                 self._sock.setsockopt(socket.SOL_SOCKET, SO_TIMESTAMPNS, 1)
 
-    def queue_len(self) -> int:
-        with self._lock:
-            return len(self._queue)
-
     def drained(self) -> bool:
-        return self.queue_len() == 0
+        """Nothing is left to forward: the queue is empty or forwarding failed."""
+        with self._lock:
+            return not self._queue or self.log.error is not None
 
     # -- ingress -------------------------------------------------------------
 
@@ -111,6 +111,8 @@ class Relay(Service):
     def _ingress(self) -> None:
         admit = self._enqueue if self.proto == UDP else self._enqueue_blocking
         for record, arrival_ns, _ in intake(self._sock, self.proto, time.monotonic_ns, self.running):
+            if self.log.error is not None:
+                return  # ending intake closes a TCP sender's connection
             admit(record, arrival_ns)
 
     # -- egress --------------------------------------------------------------
@@ -132,17 +134,16 @@ class Relay(Service):
                 if wait_ns <= 0:
                     break
                 time.sleep(min(wait_ns / 1e9, 0.0005))
-            try:
-                send(record)
-            except OSError:
-                return
+            send(record)
             self.log.forwarded += 1
             self.log.queue_delays_s.append((departure - arrival) / 1e9)
 
     def _egress(self) -> None:
+        """Forward until stopped; if the forward address cannot be reached,
+        record why, so the ingress admits nothing more."""
         try:
             out, send = connect(self.proto, self.forward_addr)
-        except OSError:
-            return
-        with out:
-            self._serve(send)
+            with out:
+                self._serve(send)
+        except OSError as exc:
+            self.log.error = f"forwarding to {self.forward_addr} failed: {exc}"

@@ -3,11 +3,12 @@
 Pacing follows an absolute per-step schedule: after an oversleep the sender
 catches up instead of drifting, so the achieved rate tracks the target until
 the host (or TCP backpressure) becomes the bottleneck, which is reported as a
-shortfall. Catch-up is shaped (GCRA): missed packets leave at CATCH_UP times
-the step's rate, and only a lag of one packet or JITTER_S, whichever is more,
-is made up back to back. The shaper's credit runs on the decision clock, so
-sleep overshoot does not slow it. Sent back to back, the packets missed during
-a stall would reach a full bottleneck as one burst and be lost as one run.
+shortfall (an achieved rate below SHORTFALL times the target). Catch-up is
+shaped (GCRA): missed packets leave at CATCH_UP times the step's rate, and
+only a lag of one packet or JITTER_S, whichever is more, is made up back to
+back. The shaper's credit runs on the decision clock, so sleep overshoot does
+not slow it. Sent back to back, the packets missed during a stall would reach
+a full bottleneck as one burst and be lost as one run.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .wire import MIN_PAYLOAD, encode_update
 
 CATCH_UP = 1.5  # rate bound while behind schedule, as a multiple of the step's rate
 JITTER_S = 0.0005  # lag that may still be made up back to back
+SHORTFALL = 0.9  # achieved/target rate ratio below which a step falls short
 
 
 @dataclass(frozen=True)
@@ -33,7 +35,6 @@ class RateStep:
 @dataclass
 class StepStats:
     target_rate: float
-    duration_s: float
     first_seq: int
     sent: int = 0
     achieved_rate: float = 0.0
@@ -47,8 +48,6 @@ class StepStats:
 
 @dataclass
 class SendLog:
-    proto: str
-    payload_size: int
     steps: list[StepStats] = field(default_factory=list)
 
     @property
@@ -79,34 +78,25 @@ def run_sender(
     plan: Sequence[RateStep],
     payload_size: int = MIN_PAYLOAD,
     clock: SessionClock | None = None,
-    shortfall_ratio: float = 0.9,
-    connect_timeout: float = 5.0,
 ) -> SendLog:
     """Send UPDATE packets paced to each step of the plan; the generation
     timestamp is taken immediately before transmission. Returns per-step
     achieved rates with shortfall flags."""
     if clock is None:
         clock = DEFAULT_CLOCK
-    log = SendLog(proto=proto, payload_size=payload_size)
+    log = SendLog()
     try:
-        sock, send = connect(proto, addr, connect_timeout)
+        sock, send = connect(proto, addr)
     except OSError as exc:
         log.steps.append(
-            StepStats(
-                target_rate=plan[0].rate if plan else 0.0,
-                duration_s=0.0,
-                first_seq=0,
-                error=f"connect failed: {exc}",
-            )
+            StepStats(target_rate=plan[0].rate if plan else 0.0, first_seq=0, error=f"connect failed: {exc}")
         )
         return log
 
     seq = 0
     try:
         for step in plan:
-            stats = StepStats(
-                target_rate=step.rate, duration_s=step.duration_s, first_seq=seq
-            )
+            stats = StepStats(target_rate=step.rate, first_seq=seq)
             log.steps.append(stats)
             interval = 1.0 / step.rate
             min_gap = interval / CATCH_UP
@@ -134,7 +124,7 @@ def run_sender(
                 stats.error = str(exc)
             elapsed = max(time.monotonic() - t0, 1e-9)
             stats.achieved_rate = stats.sent / elapsed
-            stats.shortfall = stats.achieved_rate < shortfall_ratio * step.rate
+            stats.shortfall = stats.achieved_rate < SHORTFALL * step.rate
             if stats.error is not None:
                 break  # abort the plan on a dead connection
     finally:

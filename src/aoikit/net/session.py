@@ -21,8 +21,10 @@ from .receiver import Receiver
 from .regions import RegionConfig, RegionReport, classify_regions
 from .relay import Relay
 from .sender import RateStep, SendLog, run_sender
-from .transport import TCP, UDP
+from .transport import UDP
 from .wire import MIN_PAYLOAD
+
+_LOCAL = ("127.0.0.1", 0)
 
 
 @dataclass(frozen=True)
@@ -36,19 +38,6 @@ class SweepStep:
     loss_fraction: float
     region: Optional[str]
     shortfall: bool
-
-    def to_row(self) -> dict:
-        return {
-            "offered_rate": self.offered_rate,
-            "achieved_rate": self.achieved_rate,
-            "sent": self.sent,
-            "received": self.received,
-            "avg_age_s": self.avg_age_s,
-            "peak_age_s": self.peak_age_s,
-            "loss_fraction": self.loss_fraction,
-            "region": self.region,
-            "shortfall": self.shortfall,
-        }
 
 
 @dataclass(frozen=True)
@@ -92,14 +81,12 @@ def run_measured_sweep(
     service_rate: Optional[float] = None,
     queue_capacity: Optional[int] = None,
     region_config: RegionConfig | None = None,
-    host: str = "127.0.0.1",
     drain_timeout_s: float = 15.0,
 ) -> SweepOutcome:
     """Sweep the offered rate against a local receiver, optionally through an
     impairment relay (service_rate set). Returns per-step measurements, the
-    raw record stream, and windowed region labels."""
-    if proto not in (UDP, TCP):
-        raise ValueError(f"unknown proto {proto!r}")
+    raw record stream, and windowed region labels. Raises RuntimeError if the
+    relay could not forward."""
     plan = [RateStep(rate=r, duration_s=dwell_s) for r in rates]
 
     # busy pacing loops contend for the interpreter lock; shorten the switch
@@ -108,11 +95,11 @@ def run_measured_sweep(
     sys.setswitchinterval(0.0002)
     relay = None
     try:
-        receiver = Receiver((host, 0), proto=proto).start()
+        receiver = Receiver(_LOCAL, proto=proto).start()
         target = receiver.local_addr
         if service_rate is not None:
             relay = Relay(
-                (host, 0),
+                _LOCAL,
                 receiver.local_addr,
                 service_rate=service_rate,
                 queue_capacity=queue_capacity,
@@ -128,6 +115,8 @@ def run_measured_sweep(
             receiver.stop()
     finally:
         sys.setswitchinterval(old_switch)
+    if relay is not None and relay.log.error is not None:
+        raise RuntimeError(f"relay failed: {relay.log.error}")
 
     records = receiver.records()
     regions = None

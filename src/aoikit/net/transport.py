@@ -38,6 +38,7 @@ SO_TIMESTAMPNS = getattr(socket, "SO_TIMESTAMPNS", 35)
 _TIMESPEC = struct.Struct("@ll")
 _STAMP_SPACE = socket.CMSG_SPACE(_TIMESPEC.size)
 _POLL_S = 0.2  # intake sockets time out this often to check running()
+_CONNECT_TIMEOUT_S = 5.0
 
 
 def _check(proto: str) -> None:
@@ -61,11 +62,12 @@ def listen_socket(proto: str, bind_addr: tuple[str, int]) -> socket.socket:
     return sock
 
 
-def connect(proto: str, addr: tuple[str, int], timeout: float = 5.0) -> tuple[socket.socket, Callable[[bytes], None]]:
+def connect(proto: str, addr: tuple[str, int]) -> tuple[socket.socket, Callable[[bytes], None]]:
     """A socket connected to addr and the function that sends one record on
     it: a UDP socket with a large send buffer, one datagram per record; or a
-    TCP socket (connect timeout in s, then blocking, TCP_NODELAY), one frame
-    per record. Raises OSError if the connect fails."""
+    TCP socket (connect timeout _CONNECT_TIMEOUT_S, then blocking,
+    TCP_NODELAY), one frame per record. Raises OSError if the connect
+    fails."""
     _check(proto)
     if proto == UDP:
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -76,7 +78,7 @@ def connect(proto: str, addr: tuple[str, int], timeout: float = 5.0) -> tuple[so
             sock.close()
             raise
         return sock, sock.send
-    sock = socket.create_connection(addr, timeout)
+    sock = socket.create_connection(addr, _CONNECT_TIMEOUT_S)
     sock.settimeout(None)
     # one update per segment at low rates: disable small-write coalescing
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

@@ -31,7 +31,7 @@ class TraceError(ValueError):
     """Malformed trace data or an operation applied to an unusable trace."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateRecord:
     """One status update: generated at gen_ns, received at recv_ns."""
 

@@ -1,4 +1,6 @@
+import csv
 import json
+import socket
 
 import pytest
 
@@ -117,6 +119,30 @@ class TestSweep:
     def test_net_sweep_requires_plan(self, tmp_path):
         assert main(["--mode", "sweep", "--sweep-kind", "net",
                      "--out", str(tmp_path)]) == 1
+
+    def test_net_sweep_csv_columns(self, tmp_path):
+        rc = main(["--mode", "sweep", "--sweep-kind", "net", "--rate-plan", "200:200:100:0.2",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        with open(tmp_path / "sweep.csv") as fp:
+            rows = list(csv.DictReader(fp))
+        assert list(rows[0]) == ["offered_rate", "achieved_rate", "sent", "received", "avg_age_s",
+                                 "peak_age_s", "loss_fraction", "region", "shortfall"]
+        assert int(rows[0]["received"]) > 0
+        assert (tmp_path / "trace.csv").exists()
+
+
+class TestMeasure:
+    def test_relay_forward_failure_exits_2(self, tmp_path, capsys):
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.bind(("127.0.0.1", 0))
+        host, port = sock.getsockname()
+        sock.close()
+        rc = main(["--mode", "measure", "--role", "relay", "--proto", "tcp", "--addr", "127.0.0.1:0",
+                   "--forward", f"{host}:{port}", "--service-rate", "100", "--duration-s", "0.3",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "relay failed: forwarding to" in capsys.readouterr().err
 
 
 class TestBiasExperiment:

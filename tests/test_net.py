@@ -3,6 +3,7 @@
 import socket
 import struct
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,11 +24,20 @@ from aoikit.net import (
     parse_rate_plan,
     run_sender,
 )
-from aoikit.net import sender, transport
+from aoikit.net import sender, session, transport
 from aoikit.queuesim import fcfs_departures
 
 LOCAL = ("127.0.0.1", 0)
 MS = 10**6
+
+
+def closed_port(proto):
+    """An address on which nothing listens: bound once, then closed."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM if proto == "udp" else socket.SOCK_STREAM)
+    sock.bind(LOCAL)
+    addr = sock.getsockname()
+    sock.close()
+    return addr
 
 
 def wait_for(pred, timeout=5.0):
@@ -140,6 +150,49 @@ class TestReceiverRobustness:
             raw = rx_raw.records()[0].recv_ns
         assert raw - corr == pytest.approx(50 * MS, abs=20 * MS)
 
+    def test_seq_or_gen_beyond_int64_is_malformed(self):
+        # seq and gen_ns are u64 on the wire but int64 in a trace: an update
+        # that does not fit is counted, not stored, so trace() still works
+        with Receiver(LOCAL, proto="udp") as rx:
+            tx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            for seq, gen in ((0, 1000), (1, 2**64 - 1), (2**63, 2000), (3, 3000)):
+                tx.sendto(encode_update(seq, gen), rx.local_addr)
+            tx.close()
+            assert wait_for(lambda: rx.counters.received + rx.counters.malformed == 4)
+            tr = rx.trace()
+        assert (rx.counters.received, rx.counters.malformed) == (2, 2)
+        assert tr.observe_start_ns > 0 and tr.seq.tolist() == [3]
+
+    def test_trace_equals_trace_of_records(self):
+        with Receiver(LOCAL, proto="udp") as rx:
+            log = run_sender(rx.local_addr, "udp", [RateStep(1000.0, 0.2)])
+            wait_for(lambda: rx.counters.received >= log.total_sent)
+            tr, recs = rx.trace(), rx.records()
+        assert len(recs) == rx.counters.received > 10
+        assert tr == Trace.from_records(recs)
+
+    def test_footprint_per_update(self):
+        # the receiver keeps one int64 row per update, not an object: the
+        # memory it retains grows by well under 100 B per received update
+        # (an UpdateRecord plus its list slot and ints is about 200 B)
+        tx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        packets = [encode_update(seq, 10**18 + seq) for seq in range(5000)]
+        tracemalloc.start()
+        try:
+            with Receiver(LOCAL, proto="udp") as rx:
+                base = tracemalloc.get_traced_memory()[0]
+                for i in range(0, len(packets), 100):
+                    for pkt in packets[i : i + 100]:
+                        tx.sendto(pkt, rx.local_addr)
+                    wait_for(lambda: rx.counters.received >= i + 100, timeout=2)
+                grown = tracemalloc.get_traced_memory()[0] - base
+                received = rx.counters.received
+        finally:
+            tracemalloc.stop()
+            tx.close()
+        assert received >= 4500
+        assert grown / received < 100
+
 
 class TestRelay:
     def test_udp_forwarding_no_loss_below_capacity(self):
@@ -215,6 +268,23 @@ class TestRelay:
             assert second.total_sent > 0
             assert relay.log.forwarded == sent
         assert rx.counters.received == sent
+
+    @pytest.mark.parametrize("proto", ["udp", "tcp"])
+    def test_forward_failure_is_reported(self, proto):
+        # nothing listens at the forward address: the relay records why it
+        # cannot forward, admits nothing more and counts as drained
+        dead = closed_port(proto)
+        with Relay(LOCAL, dead, service_rate=2000.0, proto=proto) as relay:
+            run_sender(relay.listen_addr, proto, [RateStep(200.0, 0.25)])
+            assert wait_for(lambda: relay.log.error is not None and relay.drained())
+        assert str(dead) in relay.log.error
+
+    def test_sweep_raises_when_relay_cannot_forward(self, monkeypatch):
+        dead = closed_port("tcp")
+        make_relay = session.Relay
+        monkeypatch.setattr(session, "Relay", lambda listen, _, **kw: make_relay(listen, dead, **kw))
+        with pytest.raises(RuntimeError, match="relay failed: forwarding to"):
+            session.run_measured_sweep([200.0], 0.2, proto="tcp", service_rate=1000.0)
 
 
 class FakeDatagrams:
