@@ -188,7 +188,7 @@ def cmd_sweep(args, out_dir: str) -> int:
     rows = [asdict(s) for s in outcome.steps]
     _write_csv(os.path.join(out_dir, "sweep.csv"), rows)
     with open(os.path.join(out_dir, "trace.csv"), "w") as fp:
-        write_trace_csv(Trace.from_records(outcome.records), fp)
+        write_trace_csv(Trace.from_columns(*outcome.rows.T), fp)
     print(json.dumps(rows))
     return 0
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..agestats import AgeStatistics, compute_statistics
-from ..trace import Trace, UpdateRecord
+from ..trace import RecordRows, Trace
 from .clock import DEFAULT_CLOCK, SessionClock
 from .transport import UDP, Service, intake, listen_socket
 from .wire import PT_UPDATE, WireError, decode
@@ -71,16 +71,20 @@ class Receiver(Service):
 
     # -- snapshots ----------------------------------------------------------
 
-    def _snapshot(self) -> array:
+    def rows(self) -> np.ndarray:
+        """A copy of the received (seq, gen_ns, recv_ns) rows, (n, 3) int64,
+        in arrival order."""
         with self._lock:
-            return self._rows[:]
+            snapshot = self._rows[:]
+        return np.frombuffer(snapshot, dtype=np.int64).reshape(-1, 3)
 
-    def records(self) -> list[UpdateRecord]:
-        rows = iter(self._snapshot().tolist())
-        return list(map(UpdateRecord, rows, rows, rows))  # consecutive triples
+    def records(self) -> RecordRows:
+        """The received updates as a read-only record sequence over
+        :meth:`rows`; records are built only as they are accessed."""
+        return RecordRows(self.rows())
 
     def trace(self) -> Trace:
-        return Trace.from_columns(*np.frombuffer(self._snapshot(), dtype=np.int64).reshape(-1, 3).T)
+        return Trace.from_columns(*self.rows().T)
 
     def statistics(self) -> AgeStatistics:
         """Cumulative statistics of everything received so far."""

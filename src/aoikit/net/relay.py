@@ -13,6 +13,13 @@ those departures, not from how far the egress thread has got, and on Linux a
 UDP arrival is the kernel's receive stamp, not the moment the ingress thread
 read it. So a descheduled relay thread delays packets but does not turn
 isolated drops into runs.
+
+The egress thread waits for each departure, and a full TCP relay for the
+departure that frees a slot, with :func:`~aoikit.net.clock.pause` under
+:func:`~aoikit.net.clock.fine_timer_slack`: a sleep with 1 µs timer slack that
+ends 20 µs (``SPIN_NS``) before the instant, then a spin. No packet leaves
+before its departure. The spin costs at most 20 µs of CPU per departure, 2 %
+of a core at a service rate of 1000/s.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .clock import fine_timer_slack, pause
 from .transport import SO_TIMESTAMPNS, UDP, Service, connect, intake, listen_socket
 
 
@@ -100,26 +108,30 @@ class Relay(Service):
         return True
 
     def _enqueue_blocking(self, record: bytes, arrival_ns: int) -> None:
-        """Wait for queue space instead of dropping (reliable-transport path).
-        While it waits the ingress socket is not read."""
-        while self._full(time.monotonic_ns()):
+        """Wait for queue space instead of dropping (reliable-transport path):
+        until the oldest tracked departure, which frees a slot. While it waits
+        the ingress socket is not read; once stopped it admits nothing into a
+        full queue."""
+        now = time.monotonic_ns()
+        if self._full(now):
             if not self._running:
                 return
-            time.sleep(0.0005)
+            pause(self._departures[0] - now)
         self._admit(record, arrival_ns)
 
     def _ingress(self) -> None:
         admit = self._enqueue if self.proto == UDP else self._enqueue_blocking
-        for record, arrival_ns, _ in intake(self._sock, self.proto, time.monotonic_ns, self.running):
-            if self.log.error is not None:
-                return  # ending intake closes a TCP sender's connection
-            admit(record, arrival_ns)
+        with fine_timer_slack():
+            for record, arrival_ns, _ in intake(self._sock, self.proto, time.monotonic_ns, self.running):
+                if self.log.error is not None:
+                    return  # ending intake closes a TCP sender's connection
+                admit(record, arrival_ns)
 
     # -- egress --------------------------------------------------------------
 
     def _serve(self, send) -> None:
-        """Send each admitted packet at its scheduled departure; a late
-        egress thread sends what is due back to back."""
+        """Send each admitted packet at its scheduled departure, never
+        before it; a late egress thread sends what is due back to back."""
         while True:
             with self._lock:
                 item = self._queue.popleft() if self._queue else None
@@ -129,11 +141,7 @@ class Relay(Service):
                 time.sleep(0.0005)
                 continue
             arrival, departure, record = item
-            while True:
-                wait_ns = departure - time.monotonic_ns()
-                if wait_ns <= 0:
-                    break
-                time.sleep(min(wait_ns / 1e9, 0.0005))
+            pause(departure - time.monotonic_ns())
             send(record)
             self.log.forwarded += 1
             self.log.queue_delays_s.append((departure - arrival) / 1e9)
@@ -143,7 +151,7 @@ class Relay(Service):
         record why, so the ingress admits nothing more."""
         try:
             out, send = connect(self.proto, self.forward_addr)
-            with out:
+            with out, fine_timer_slack():
                 self._serve(send)
         except OSError as exc:
             self.log.error = f"forwarding to {self.forward_addr} failed: {exc}"

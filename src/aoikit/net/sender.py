@@ -6,9 +6,18 @@ the host (or TCP backpressure) becomes the bottleneck, which is reported as a
 shortfall (an achieved rate below SHORTFALL times the target). Catch-up is
 shaped (GCRA): missed packets leave at CATCH_UP times the step's rate, and
 only a lag of one packet or JITTER_S, whichever is more, is made up back to
-back. The shaper's credit runs on the decision clock, so sleep overshoot does
-not slow it. Sent back to back, the packets missed during a stall would reach
-a full bottleneck as one burst and be lost as one run.
+back. Sent back to back, the packets missed during a stall would reach a full
+bottleneck as one burst and be lost as one run. The shaper is charged from a
+pacing-clock reading taken after each generation stamp, so a stall before a
+stamp delays the shaper with it and cannot let the next packets out back to
+back.
+
+Each wait for a slot is a :func:`~aoikit.net.clock.pause` under
+:func:`~aoikit.net.clock.fine_timer_slack`: a sleep with 1 µs timer slack that
+ends 20 µs (``SPIN_NS``) before the slot, then a spin. No packet is stamped
+before its slot, and a paced packet is typically stamped within a microsecond
+of it. The spin costs at most 20 µs of CPU per packet, 10 % of a core at
+5000/s; a sender behind schedule never waits.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .clock import DEFAULT_CLOCK, SessionClock
+from .clock import DEFAULT_CLOCK, SessionClock, fine_timer_slack, pause
 from .transport import connect
 from .wire import MIN_PAYLOAD, encode_update
 
@@ -94,7 +103,7 @@ def run_sender(
         return log
 
     seq = 0
-    try:
+    with sock, fine_timer_slack():
         for step in plan:
             stats = StepStats(target_rate=step.rate, first_seq=seq)
             log.steps.append(stats)
@@ -102,23 +111,24 @@ def run_sender(
             min_gap = interval / CATCH_UP
             tolerance = max(min_gap, JITTER_S)
             total = max(1, round(step.rate * step.duration_s))
-            t0 = time.monotonic()
+            t0 = now = time.monotonic()
             t_next = t0  # the next packet's slot
             t_tat = t0  # the shaper's theoretical send time
             deadline = t0 + step.duration_s
             try:
-                while stats.sent < total:
-                    now = time.monotonic()
-                    if now >= deadline:
-                        break
+                while stats.sent < total and now < deadline:
                     wake = max(t_next, t_tat - tolerance)
                     if now < wake:
-                        time.sleep(min(wake - now, 0.0005))
+                        pause(int((wake - now) * 1e9) + 1)  # rounded up: never early
+                        now = time.monotonic()
                         continue
                     send(encode_update(seq, clock.now_ns(), payload_size))
                     seq += 1
                     stats.sent += 1
                     t_next += interval
+                    # read after the stamp, so a stall before the stamp
+                    # cannot leave the shaper charged from an earlier instant
+                    now = time.monotonic()
                     t_tat = max(t_tat, now) + min_gap
             except OSError as exc:
                 stats.error = str(exc)
@@ -127,6 +137,4 @@ def run_sender(
             stats.shortfall = stats.achieved_rate < SHORTFALL * step.rate
             if stats.error is not None:
                 break  # abort the plan on a dead connection
-    finally:
-        sock.close()
     return log

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..agestats import hform_and_peak_age
-from ..trace import Trace, UpdateRecord, record_columns
+from ..trace import RecordRows, Trace
 from .receiver import Receiver
 from .regions import RegionConfig, RegionReport, classify_regions
 from .relay import Relay
@@ -40,12 +40,17 @@ class SweepStep:
     shortfall: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepOutcome:
     steps: tuple[SweepStep, ...]
-    records: tuple[UpdateRecord, ...]
+    rows: np.ndarray  # received (seq, gen_ns, recv_ns), (n, 3) int64, in arrival order
     regions: Optional[RegionReport]
     send_log: SendLog
+
+    @property
+    def records(self) -> RecordRows:
+        """The received updates as a read-only record sequence over ``rows``."""
+        return RecordRows(self.rows)
 
 
 def _wait_for_drain(receiver: Receiver, relay: Optional[Relay], timeout_s: float) -> None:
@@ -96,17 +101,17 @@ def run_measured_sweep(
     relay = None
     try:
         receiver = Receiver(_LOCAL, proto=proto).start()
-        target = receiver.local_addr
-        if service_rate is not None:
-            relay = Relay(
-                _LOCAL,
-                receiver.local_addr,
-                service_rate=service_rate,
-                queue_capacity=queue_capacity,
-                proto=proto,
-            ).start()
-            target = relay.listen_addr
         try:
+            target = receiver.local_addr
+            if service_rate is not None:
+                relay = Relay(
+                    _LOCAL,
+                    receiver.local_addr,
+                    service_rate=service_rate,
+                    queue_capacity=queue_capacity,
+                    proto=proto,
+                ).start()
+                target = relay.listen_addr
             send_log = run_sender(target, proto, plan, payload_size=payload_size)
             _wait_for_drain(receiver, relay, drain_timeout_s)
         finally:
@@ -118,14 +123,12 @@ def run_measured_sweep(
     if relay is not None and relay.log.error is not None:
         raise RuntimeError(f"relay failed: {relay.log.error}")
 
-    records = receiver.records()
+    rows = receiver.rows()
     regions = None
-    if records:
-        regions = classify_regions(records, region_config)
+    if len(rows):
+        regions = classify_regions(RecordRows(rows), region_config)
 
-    seq, gen, recv = record_columns(records)
-    order = np.argsort(seq, kind="stable")
-    seq, gen, recv = seq[order], gen[order], recv[order]
+    seq, gen, recv = rows[np.argsort(rows[:, 0], kind="stable")].T
     steps = []
     for st in send_log.steps:
         received, avg_age, peak_age = _step_stats(st, seq, gen, recv)
@@ -153,7 +156,7 @@ def run_measured_sweep(
         )
     return SweepOutcome(
         steps=tuple(steps),
-        records=tuple(records),
+        rows=rows,
         regions=regions,
         send_log=send_log,
     )

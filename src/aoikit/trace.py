@@ -45,8 +45,36 @@ class UpdateRecord:
         return self.recv_ns - self.gen_ns
 
 
+class RecordRows(Sequence[UpdateRecord]):
+    """A read-only record sequence over ``rows``, an (n, 3) int64 array of
+    (seq, gen_ns, recv_ns): a record is built only when it is accessed, and
+    iteration holds only one chunk of rows as Python ints at a time. A slice
+    is a view over the same rows."""
+
+    __slots__ = ("rows",)
+    _ITER_ROWS = 256
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return RecordRows(self.rows[i])
+        return UpdateRecord(*self.rows[i].tolist())
+
+    def __iter__(self):
+        for lo in range(0, len(self.rows), self._ITER_ROWS):
+            yield from map(UpdateRecord, *self.rows[lo : lo + self._ITER_ROWS].T.tolist())
+
+
 def record_columns(records: Iterable[UpdateRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(seq, gen_ns, recv_ns) int64 columns of a record sequence, in its order."""
+    """(seq, gen_ns, recv_ns) int64 columns of a record sequence, in its order;
+    views of the rows of a :class:`RecordRows`."""
+    if isinstance(records, RecordRows):
+        return tuple(records.rows.T)
     rows = np.array([(r.seq, r.gen_ns, r.recv_ns) for r in records], dtype=np.int64)
     return tuple(rows.reshape(-1, 3).T)
 

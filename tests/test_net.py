@@ -2,6 +2,8 @@
 
 import socket
 import struct
+import sys
+import threading
 import time
 import tracemalloc
 from types import SimpleNamespace
@@ -24,11 +26,21 @@ from aoikit.net import (
     parse_rate_plan,
     run_sender,
 )
-from aoikit.net import sender, session, transport
+from aoikit.net import clock, sender, session, transport
 from aoikit.queuesim import fcfs_departures
 
 LOCAL = ("127.0.0.1", 0)
 MS = 10**6
+
+
+@pytest.fixture(autouse=True)
+def no_live_role_left_running():
+    """Fails a test that leaves a thread running, such as the loop of a
+    live role that was started and never stopped."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    assert not left, f"threads left running: {left}"
 
 
 def closed_port(proto):
@@ -125,6 +137,104 @@ def test_catch_up_after_a_stall_is_paced(monkeypatch):
     assert (gen[2:] - gen[:-2]).min() > 2.5 * MS
 
 
+class StallingClock:
+    """A stamp clock whose every third now_ns() first stalls stall_s, as if
+    the sender were descheduled between its pacing decision and the stamp."""
+
+    def __init__(self, inner, stall_s: float):
+        self.inner, self.stall_s, self.calls = inner, stall_s, 0
+
+    def now_ns(self) -> int:
+        self.calls += 1
+        if self.calls % 3 == 0:
+            time.sleep(self.stall_s)
+        return self.inner.now_ns()
+
+
+def test_catch_up_with_stalled_stamps_is_paced(monkeypatch):
+    # as above, and a 7 ms stall before every third stamp keeps the sender
+    # catching up all along: the shaper must count each stall, or the packets
+    # after a stalled stamp leave back to back
+    fake = JumpingTime(at=100, jump_s=0.05)
+    monkeypatch.setattr(sender, "time", fake)
+    with Receiver(LOCAL, proto="udp") as rx:
+        log = run_sender(rx.local_addr, "udp", [RateStep(200.0, 0.5)], clock=StallingClock(fake, 0.007))
+        wait_for(lambda: rx.counters.received >= log.total_sent)
+        gen = np.array([r.gen_ns for r in sorted(rx.records(), key=lambda r: r.seq)])
+    assert np.diff(gen).max() >= 50 * MS
+    assert (gen[2:] - gen[:-2]).min() > 2.5 * MS
+
+
+class FakeMonotonic:
+    """Stands in for the time module inside net.clock: every monotonic_ns()
+    read advances read_ns, and sleep(s) advances s plus overshoot_ns."""
+
+    def __init__(self, read_ns: int, overshoot_ns: int = 0):
+        self.ns, self.read_ns, self.overshoot_ns = 0, read_ns, overshoot_ns
+        self.reads, self.slept = [], []
+
+    def monotonic_ns(self) -> int:
+        self.ns += self.read_ns
+        self.reads.append(self.ns)
+        return self.ns
+
+    def sleep(self, s: float) -> None:
+        self.slept.append(s)
+        self.ns += round(s * 1e9) + self.overshoot_ns
+
+
+class TestPacing:
+    @pytest.mark.parametrize("overshoot_ns", [-15_000, 0, 7_000, 80_000])
+    @pytest.mark.parametrize("delay_ns", [-5, 0, 3, clock.SPIN_NS, 2_000_000])
+    def test_pause_never_returns_early(self, monkeypatch, delay_ns, overshoot_ns):
+        fake = FakeMonotonic(read_ns=700, overshoot_ns=overshoot_ns)
+        monkeypatch.setattr(clock, "time", fake)
+        clock.pause(delay_ns)
+        assert fake.reads[-1] >= fake.reads[0] + delay_ns
+
+    @pytest.mark.parametrize("delay_ns", [0, clock.SPIN_NS, clock.SPIN_NS + 1, 2_000_000])
+    def test_pause_sleeps_until_the_spin_window(self, monkeypatch, delay_ns):
+        fake = FakeMonotonic(read_ns=100)
+        monkeypatch.setattr(clock, "time", fake)
+        clock.pause(delay_ns)
+        if delay_ns <= clock.SPIN_NS:
+            assert fake.slept == []
+        else:
+            assert fake.slept == [(delay_ns - clock.SPIN_NS) / 1e9]
+
+    def test_timer_slack_is_restored(self, monkeypatch):
+        slack = {"now": 50_000}
+
+        def fake_prctl(option, arg, *_):
+            if option == clock._PR_GET_TIMERSLACK:
+                return slack["now"]
+            slack["now"] = arg
+            return 0
+
+        monkeypatch.setattr(clock, "_prctl", lambda: fake_prctl)
+        with pytest.raises(KeyError):
+            with clock.fine_timer_slack():
+                assert slack["now"] == clock.TIMER_SLACK_NS
+                raise KeyError
+        assert slack["now"] == 50_000
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="prctl is Linux only")
+    def test_timer_slack_of_this_thread(self):
+        prctl = clock._prctl()
+        before = prctl(clock._PR_GET_TIMERSLACK, 0, 0, 0, 0)
+        with clock.fine_timer_slack():
+            assert prctl(clock._PR_GET_TIMERSLACK, 0, 0, 0, 0) == clock.TIMER_SLACK_NS
+        assert prctl(clock._PR_GET_TIMERSLACK, 0, 0, 0, 0) == before
+
+    def test_timer_slack_without_prctl_is_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(clock, "sys", SimpleNamespace(platform="darwin"))
+        assert clock._prctl() is None
+        ran = []
+        with clock.fine_timer_slack():
+            ran.append(True)
+        assert ran == [True]
+
+
 class TestReceiverRobustness:
     def test_malformed_counted(self):
         with Receiver(LOCAL, proto="udp") as rx:
@@ -192,6 +302,23 @@ class TestReceiverRobustness:
             tx.close()
         assert received >= 4500
         assert grown / received < 100
+
+    def test_iterating_records_holds_one_chunk(self):
+        # records() is a view over a copy of the rows (24 B per update): it
+        # builds each record as it is reached, where a list of 5,000 records
+        # takes about 900 kB
+        rx = Receiver(LOCAL, proto="udp")  # never started: rows added as intake would
+        try:
+            rx._rows.extend(v for seq in range(5000) for v in (seq, 10**18 + seq, 10**18 + seq + 1000))
+            tracemalloc.start()
+            base = tracemalloc.get_traced_memory()[0]
+            seqs = [r.seq for r in rx.records() if r.seq % 1000 == 0]
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+            rx.stop()
+        assert seqs == [0, 1000, 2000, 3000, 4000]
+        assert peak < 5000 * 24 + 64 * 1024
 
 
 class TestRelay:
@@ -285,6 +412,13 @@ class TestRelay:
         monkeypatch.setattr(session, "Relay", lambda listen, _, **kw: make_relay(listen, dead, **kw))
         with pytest.raises(RuntimeError, match="relay failed: forwarding to"):
             session.run_measured_sweep([200.0], 0.2, proto="tcp", service_rate=1000.0)
+
+
+def test_sweep_stops_the_receiver_when_the_relay_cannot_start():
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="service_rate"):
+        session.run_measured_sweep([100.0], 0.1, service_rate=0.0)
+    assert threading.active_count() == before
 
 
 class FakeDatagrams:

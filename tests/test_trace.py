@@ -12,6 +12,7 @@ from aoikit import (
     read_trace_csv,
     write_trace_csv,
 )
+from aoikit.trace import RecordRows, record_columns
 
 
 def make(gen_recv, **kw):
@@ -181,6 +182,43 @@ class TestColumns:
     def test_length_mismatch_rejected(self):
         with pytest.raises(TraceError):
             Trace(seq=[0], gen_ns=[0, 1], recv_ns=[1, 2], observe_end_ns=2)
+
+
+class TestRecordRows:
+    """The lazy record sequence over (seq, gen_ns, recv_ns) int64 rows."""
+
+    ROWS = np.stack([np.arange(600), 10**18 + 7 * np.arange(600), 10**18 + 9 * np.arange(600)], axis=1)
+    RECORDS = [UpdateRecord(*row) for row in ROWS.tolist()]
+
+    def test_length_iteration_and_indexing(self):
+        view = RecordRows(self.ROWS)
+        assert len(view) == 600 and view  # iteration crosses chunk boundaries
+        assert list(view) == self.RECORDS
+        assert list(reversed(view)) == self.RECORDS[::-1]
+        for i in (0, 1, 255, 256, 599, -1, -600):
+            assert view[i] == self.RECORDS[i]
+            assert type(view[i].seq) is int
+        for i in (600, -601):
+            with pytest.raises(IndexError):
+                view[i]
+        assert self.RECORDS[300] in view and view.index(self.RECORDS[300]) == 300
+        assert not RecordRows(np.empty((0, 3), dtype=np.int64))
+
+    @pytest.mark.parametrize("sl", [slice(2, 5), slice(None, None, -7), slice(-3, None), slice(5, 2), slice(1, 500, 3)])
+    def test_slices_are_views(self, sl):
+        part = RecordRows(self.ROWS)[sl]
+        assert isinstance(part, RecordRows) and list(part) == self.RECORDS[sl]
+        assert np.shares_memory(part.rows, self.ROWS) or not len(part)
+
+    def test_read_only(self):
+        view = RecordRows(self.ROWS)
+        with pytest.raises(TypeError):
+            view[0] = self.RECORDS[1]
+
+    def test_columns_are_the_rows(self):
+        seq, gen, recv = record_columns(RecordRows(self.ROWS))
+        assert np.shares_memory(gen, self.ROWS)
+        assert Trace.from_records(RecordRows(self.ROWS)) == Trace.from_records(self.RECORDS)
 
 
 class TestFromRecords:
