@@ -51,6 +51,13 @@ def _addr(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="aoikit", description=__doc__)
     p.add_argument("--mode", choices=["analyze", "simulate", "sweep", "bias-experiment", "measure"])
@@ -78,7 +85,7 @@ def build_parser() -> _Parser:
     p.add_argument("--service", choices=["exponential", "deterministic"], default="exponential")
     p.add_argument("--events", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", type=int, default=10)
+    p.add_argument("--seeds", type=_positive_int, default=10)
     p.add_argument("--rates", help="comma-separated arrival rates (sim sweep)")
     p.add_argument("--sweep-kind", choices=["sim", "net"], default="sim")
     p.add_argument("--penalty", choices=["linear", "exp", "log"], default="linear")
@@ -114,6 +121,7 @@ def _write_csv(path: str, rows: list[dict]) -> None:
 def cmd_analyze(args, out_dir: str) -> int:
     if not args.trace:
         raise UsageError("analyze mode requires --trace")
+    config = RegionConfig(window_s=args.window_s)
     with open(args.trace) as fp:
         trace = read_trace_csv(fp)
     if not len(trace):
@@ -126,8 +134,10 @@ def cmd_analyze(args, out_dir: str) -> int:
     with open(os.path.join(out_dir, "samplepath.csv"), "w") as fp:
         fp.write("t_ns,age_ns\n")
         write_rows(fp, (path.t_ns, path.age_ns))
-    report = classify_regions(trace, RegionConfig(window_s=args.window_s))
-    _write_csv(os.path.join(out_dir, "regions.csv"), [asdict(lab) for lab in report.labels])
+    del path  # as long as the trace: release it before classifying
+    report = classify_regions(trace, config)
+    with open(os.path.join(out_dir, "regions.csv"), "w", newline="") as fp:
+        report.write_csv(fp)
     print(json.dumps(stats.to_dict()))
     return 0
 

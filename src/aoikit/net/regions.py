@@ -14,12 +14,16 @@ The baseline delay is the median delay of the first Relaxed-looking window
 single FIFO bottleneck dominates, the delay level jumps as soon as the queue
 fills and the delay-ratio rules should be relaxed or disabled so that the
 loss-run evidence decides.
+
+A report holds its windows as columns, one array per :class:`RegionLabel`
+field in window order; it builds no object per window unless asked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from statistics import median
+import io
+from dataclasses import dataclass, fields
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,6 +43,12 @@ class RegionConfig:
     relaxed_delay_ratio: Optional[float] = 1.5  # None disables the rule
     panicked_delay_ratio: Optional[float] = 2.0  # None disables the rule
 
+    def __post_init__(self):
+        # the window is cut in whole int64 nanoseconds; nan fails both bounds
+        if not 0.5 < self.window_s * NS_PER_S < 2**63:
+            raise ValueError(f"region window must round to 1 ns or more and fit in int64 ns, "
+                             f"got window_s={self.window_s!r}")
+
 
 @dataclass(frozen=True)
 class RegionLabel:
@@ -50,19 +60,46 @@ class RegionLabel:
     delay_ratio: float
 
 
-@dataclass(frozen=True)
+WINDOW_COLUMNS = tuple(f.name for f in fields(RegionLabel))
+_CSV_ROW = "%s,%d,%d,%r,%d,%r\r\n"  # the WINDOW_COLUMNS as csv.DictWriter renders them
+_CHUNK_WINDOWS = 1 << 16
+
+
+@dataclass(frozen=True, eq=False)
 class RegionReport:
-    labels: tuple[RegionLabel, ...]
+    """The windows as columns, one array per :class:`RegionLabel` field."""
+
+    label: np.ndarray
+    start_seq: np.ndarray
+    end_seq: np.ndarray
+    loss_rate: np.ndarray
+    max_loss_run: np.ndarray
+    delay_ratio: np.ndarray
     baseline_delay_s: float
     baseline_from_global: bool  # no loss-free window found; global median used
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RegionReport):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+    @property
+    def labels(self) -> tuple[RegionLabel, ...]:
+        return tuple(map(RegionLabel, *(getattr(self, name).tolist() for name in WINDOW_COLUMNS)))
+
     def collapsed(self) -> list[str]:
         """Label sequence with consecutive duplicates merged."""
-        out: list[str] = []
-        for lab in self.labels:
-            if not out or out[-1] != lab.label:
-                out.append(lab.label)
-        return out
+        lab = self.label
+        return np.concatenate((lab[:1], lab[1:][lab[1:] != lab[:-1]])).tolist()
+
+    def write_csv(self, fp: io.TextIOBase) -> None:
+        """Write a header and one row per window, formatting one chunk of
+        windows per call; open ``fp`` with ``newline=""``."""
+        columns = [getattr(self, name) for name in WINDOW_COLUMNS]
+        fp.write(",".join(WINDOW_COLUMNS) + "\r\n")
+        for i in range(0, len(self.label), _CHUNK_WINDOWS):
+            part = tuple(chain.from_iterable(zip(*(c[i : i + _CHUNK_WINDOWS].tolist() for c in columns))))
+            fp.write(_CSV_ROW * (len(part) // len(columns)) % part)
 
 
 def classify_regions(
@@ -102,7 +139,7 @@ def classify_regions(
 
     quiet = loss_rate < config.max_relaxed_loss_rate
     from_global = not quiet.any()
-    baseline = median(delay.tolist()) if from_global else float(delay[np.argmax(quiet)])
+    baseline = float(np.median(delay) if from_global else delay[np.argmax(quiet)])
     ratio = delay / baseline if baseline > 0 else np.full(len(delay), np.inf)
 
     panicked = max_run >= config.panicked_min_run
@@ -112,9 +149,5 @@ def classify_regions(
     if config.relaxed_delay_ratio is not None:
         relaxed = relaxed & (ratio <= config.relaxed_delay_ratio)
     label = np.where(panicked, PANICKED, np.where(relaxed, RELAXED, BUSY))
-    columns = (label, seq[starts], seq[starts + counts - 1], loss_rate, max_run, ratio)
-    return RegionReport(
-        labels=tuple(map(RegionLabel, *(c.tolist() for c in columns))),
-        baseline_delay_s=baseline,
-        baseline_from_global=from_global,
-    )
+    return RegionReport(label, seq[starts], seq[starts + counts - 1], loss_rate, max_run, ratio,
+                        baseline_delay_s=baseline, baseline_from_global=from_global)

@@ -78,6 +78,17 @@ def _step_stats(step, seq: np.ndarray, gen: np.ndarray, recv: np.ndarray) -> tup
     return int(hi - lo), *hform_and_peak_age(Trace.from_columns(seq[lo:hi], gen[lo:hi], recv[lo:hi]))
 
 
+def _step_region(regions: Optional[RegionReport], step) -> Optional[str]:
+    """The label of most windows whose seq range meets the step's seqs; a tie
+    goes to the label that comes first in window order. None when the step
+    sent nothing or no window meets it."""
+    if regions is None or not step.sent:
+        return None
+    meets = (regions.end_seq >= step.first_seq) & (regions.start_seq <= step.last_seq)
+    votes = Counter(regions.label[meets].tolist()).most_common(1)
+    return votes[0][0] if votes else None
+
+
 def run_measured_sweep(
     rates: Sequence[float],
     dwell_s: float,
@@ -132,15 +143,6 @@ def run_measured_sweep(
     steps = []
     for st in send_log.steps:
         received, avg_age, peak_age = _step_stats(st, seq, gen, recv)
-        label = None
-        if regions is not None and st.sent:
-            votes = Counter(
-                lab.label
-                for lab in regions.labels
-                if lab.end_seq >= st.first_seq and lab.start_seq <= st.last_seq
-            )
-            if votes:
-                label = votes.most_common(1)[0][0]
         steps.append(
             SweepStep(
                 offered_rate=st.target_rate,
@@ -150,7 +152,7 @@ def run_measured_sweep(
                 avg_age_s=avg_age,
                 peak_age_s=peak_age,
                 loss_fraction=1.0 - received / st.sent if st.sent else 0.0,
-                region=label,
+                region=_step_region(regions, st),
                 shortfall=st.shortfall,
             )
         )

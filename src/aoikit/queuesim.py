@@ -200,6 +200,8 @@ def load_sweep(base: SimConfig, rates: Sequence[float], seeds_per_point: int = 1
         raise ValueError("empty rate grid")
     if any(r <= 0 for r in rates):
         raise ValueError("rates must be positive")
+    if seeds_per_point < 1:
+        raise ValueError("seeds_per_point must be at least 1")
     root = np.random.SeedSequence(base.seed)
     streams = root.spawn(len(rates) * seeds_per_point)
     points = []

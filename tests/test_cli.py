@@ -1,11 +1,16 @@
 import csv
+import io
 import json
 import socket
+from dataclasses import asdict, fields
 
+import numpy as np
 import pytest
 
-from aoikit import Trace, write_trace_csv
+import aoikit.net.regions
+from aoikit import Trace, read_trace_csv, write_trace_csv
 from aoikit.cli import main
+from aoikit.net import BUSY, PANICKED, RELAXED, RegionLabel, classify_regions
 
 GOLDEN = Trace.from_seconds(
     [(0, 1), (2, 3)], initial_age=1.0, observe_start=0, observe_end=4
@@ -81,6 +86,78 @@ class TestAnalyze:
         assert main(["--mode", "analyze", "--trace", str(path), "--out", str(out)]) == 0
         stats = json.loads((out / "stats.json").read_text())
         assert stats["loss_runs"] == {"3": 1}
+
+
+def write_reordered_trace(path, delay_ns):
+    """Write 7 s of 1 kHz receptions whose seqs are shuffled in blocks of 7,
+    so adjacent windows' seq ranges overlap, with 2 % of them lost;
+    ``delay_ns(rng, n)`` gives each update's delay."""
+    rng = np.random.default_rng(5)
+    seq = rng.permuted(np.arange(7000).reshape(-1, 7), axis=1).ravel()
+    kept = np.flatnonzero(rng.random(len(seq)) >= 0.02)
+    recv = 1_700_000_000 * 10**9 + kept * 10**6
+    trace = Trace(seq=seq[kept], gen_ns=recv - delay_ns(rng, len(kept)), recv_ns=recv,
+                  observe_start_ns=recv[0], observe_end_ns=recv[-1])
+    with open(path, "w") as fp:
+        write_trace_csv(trace, fp)
+
+
+def zero_delay(rng, n):
+    return np.zeros(n, dtype=np.int64)
+
+
+def jittered_delay(rng, n):
+    return 5 * 10**6 + rng.integers(0, 10**6, n)
+
+
+class TestRegionsCsv:
+    @pytest.mark.parametrize("delay_ns", [zero_delay, jittered_delay])
+    def test_equals_dictwriter_of_labels(self, delay_ns, tmp_path, monkeypatch):
+        monkeypatch.setattr(aoikit.net.regions, "_CHUNK_WINDOWS", 3)  # several chunks, a short last one
+        path, out = tmp_path / "trace.csv", tmp_path / "out"
+        write_reordered_trace(path, delay_ns)
+        assert main(["--mode", "analyze", "--trace", str(path), "--out", str(out)]) == 0
+        with open(path) as fp:
+            report = classify_regions(read_trace_csv(fp))
+        labels = report.labels
+        assert len(labels) == 7
+        assert any(a.end_seq >= b.start_seq for a, b in zip(labels, labels[1:]))
+        assert any(len(repr(lab.loss_rate)) >= 18 for lab in labels)
+        if delay_ns is zero_delay:
+            assert report.baseline_delay_s == 0.0
+            assert all(lab.delay_ratio == float("inf") for lab in labels)
+        else:
+            assert any(len(repr(lab.delay_ratio)) >= 18 for lab in labels)
+        expected = io.StringIO()
+        writer = csv.DictWriter(expected, fieldnames=[f.name for f in fields(RegionLabel)])
+        writer.writeheader()
+        writer.writerows(asdict(lab) for lab in labels)
+        assert (out / "regions.csv").read_bytes() == expected.getvalue().encode()
+
+
+class TestNoLabelObjects:
+    """Neither analyze nor the net sweep's post-processing builds a
+    RegionLabel: each works on the report's columns."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_labels(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a RegionLabel was built")
+
+        monkeypatch.setattr(aoikit.net.regions, "RegionLabel", refuse)
+
+    def test_analyze(self, tmp_path):
+        path, out = tmp_path / "trace.csv", tmp_path / "out"
+        write_reordered_trace(path, jittered_delay)
+        assert main(["--mode", "analyze", "--trace", str(path), "--out", str(out)]) == 0
+        assert len((out / "regions.csv").read_text().splitlines()) == 8
+
+    def test_net_sweep(self, tmp_path):
+        rc = main(["--mode", "sweep", "--sweep-kind", "net", "--rate-plan", "200:200:100:0.2",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        with open(tmp_path / "sweep.csv") as fp:
+            assert next(csv.DictReader(fp))["region"] in (RELAXED, BUSY, PANICKED)
 
 
 class TestSimulate:
@@ -180,6 +257,28 @@ class TestManifest:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["tool"] == "aoikit"
         assert manifest["argv"] == args
+
+
+class TestRejectedInput:
+    """Each input rejected before any output is written: an exit code, one
+    error line and no traceback."""
+
+    @pytest.mark.parametrize("argv, code, message", [
+        *(pytest.param(["--mode", "analyze", "--window-s", w], 2, "error: region window must round to 1 ns",
+                       id=f"window-s={w}") for w in ["0", "1e-12", "-1", "inf", "nan"]),
+        pytest.param(["--mode", "sweep", "--rates", "0.5", "--events", "100", "--seeds", "0"], 1,
+                     "usage error: argument --seeds: must be at least 1", id="sweep-seeds=0"),
+        pytest.param(["--mode", "bias-experiment", "--lambda", "0.5", "--events", "100", "--seeds", "0"], 1,
+                     "usage error: argument --seeds: must be at least 1", id="bias-seeds=0"),
+    ])
+    def test_rejected(self, argv, code, message, golden_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        if "analyze" in argv:
+            argv = [*argv, "--trace", golden_csv]
+        assert main([*argv, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1 and "Traceback" not in err
+        assert {p.name for p in out.glob("*")} <= {"manifest.json"}
 
 
 class TestUsage:

@@ -278,6 +278,12 @@ class TestLoadSweep:
         with pytest.raises(ValueError):
             load_sweep(base, [])
 
+    @pytest.mark.parametrize("seeds", [0, -1])
+    def test_fewer_than_one_seed_error(self, seeds):
+        base = SimConfig(arrival_rate=0.5, service_rate=1.0, n_events=100)
+        with pytest.raises(ValueError, match="seeds_per_point"):
+            load_sweep(base, [0.5], seeds_per_point=seeds)
+
     def test_mm1_u_shape_small(self):
         base = SimConfig(arrival_rate=0.1, service_rate=1.0, n_events=20000, seed=3)
         res = load_sweep(base, [0.1, 0.3, 0.5, 0.7, 0.9], seeds_per_point=3)
